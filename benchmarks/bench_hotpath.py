@@ -47,26 +47,14 @@ def _load_baseline() -> dict:
 BASELINE = _load_baseline()
 
 
-#: Dispatch paths measured per design: the scalar arrays loop (bare
-#: design name in the report) and the epoch-batched kernel (``@batched``
-#: keys).  Both feed the same ≤3% gate, so a batched-kernel regression
-#: fails CI exactly like a scalar one.
-BENCH_PATHS = ("arrays", "batched")
-
-
 def test_hotpath_throughput(run_once):
-    payload = run_once(lambda **kw: run_benchmark(paths=BENCH_PATHS, **kw))
+    payload = run_once(run_benchmark)
     write_report(payload, Path("BENCH_hotpath.json"))
     # Longitudinal record for the perf observatory (`repro obs bench-trend`):
     # the snapshot above catches step regressions, the history catches drift.
     append_history(payload, Path(HISTORY_FILENAME))
     results = payload["results"]
-    expected = {
-        name if path == "arrays" else f"{name}@{path}"
-        for name in DEFAULT_DESIGNS
-        for path in BENCH_PATHS
-    }
-    assert set(results) == expected
+    assert set(results) == set(DEFAULT_DESIGNS)
     for entry in results.values():
         assert entry["accesses"] > 0
         assert entry["accesses_per_sec"] > 0
@@ -76,14 +64,6 @@ def test_hotpath_throughput(run_once):
         payload["results"]["np"]["accesses_per_sec"]
         >= payload["results"]["cosmos"]["accesses_per_sec"]
     )
-    # Every path is metric-identical by contract — the riders in the
-    # report must agree between the scalar and batched entries.
-    for name in DEFAULT_DESIGNS:
-        scalar, batched = results[name], results[f"{name}@batched"]
-        for key in ("accesses", "cycles", "total_latency", "ctr_miss_rate"):
-            assert scalar[key] == batched[key], (
-                f"{name}: {key} diverges between arrays and batched paths"
-            )
     if os.environ.get("REPRO_PERF_GATE") and BASELINE:
         baseline = BASELINE.get("results", {})
         for name, entry in results.items():

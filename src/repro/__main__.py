@@ -80,8 +80,6 @@ def _apply_execution_flags(args: argparse.Namespace) -> None:
         set_options(use_cache=False)
     if getattr(args, "serve", None):
         set_options(serve=args.serve)
-    if getattr(args, "sim_path", None):
-        set_options(sim_path=args.sim_path)
     if getattr(args, "obs", False):
         from . import obs
 
@@ -176,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run simulation cells through a repro serve instance "
              "instead of a local worker pool (like REPRO_SERVE)",
     )
-    reproduce.add_argument(
-        "--sim-path", choices=("auto", "arrays", "objects", "batched"),
-        default=None,
-        help="simulator dispatch path for every cell (like REPRO_SIM_PATH; "
-             "metric-identical by contract, recorded in run manifests)",
-    )
     reproduce.set_defaults(func=_cmd_reproduce)
 
     simulate = sub.add_parser("simulate", help="run one design on one workload")
@@ -204,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve", metavar="HOST[:PORT]", default=None,
         help="run simulation cells through a repro serve instance "
              "instead of a local worker pool (like REPRO_SERVE)",
-    )
-    simulate.add_argument(
-        "--sim-path", choices=("auto", "arrays", "objects", "batched"),
-        default=None,
-        help="simulator dispatch path (like REPRO_SIM_PATH; "
-             "metric-identical by contract, recorded in run manifests)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 

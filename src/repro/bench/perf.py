@@ -44,9 +44,9 @@ from ..workloads.trace import Trace
 from .runner import default_config
 
 #: Report schema identifier; bump on incompatible payload changes.
-#: v2: per-path entries — keys are ``design`` (arrays path) or
-#: ``design@path``, and every entry carries a ``path`` key.
-SCHEMA = "repro.bench.perf/v2"
+#: v3: one entry per design, keyed by design name, with no ``path`` key
+#: (v2 also carried ``design@path`` entries for other dispatch paths).
+SCHEMA = "repro.bench.perf/v3"
 
 #: Designs tracked by default: the unprotected bound, the secure baseline
 #: and the full COSMOS design (slowest hot path — RL + predictor on top).
@@ -83,7 +83,6 @@ def measure_design(
     trace: Trace,
     config: Optional[SimulationConfig] = None,
     repeats: int = 3,
-    path: str = "arrays",
 ) -> Dict[str, object]:
     """Time ``design_name`` over ``trace``; returns one report entry.
 
@@ -91,9 +90,7 @@ def measure_design(
     whole trace; the *best* wall-clock time is reported, which is the
     standard way to suppress scheduler noise in throughput benchmarks.
     Key simulation metrics ride along so a perf change that accidentally
-    shifts behaviour is visible in the same diff — and because every
-    dispatch ``path`` is metric-identical by contract, those riders also
-    catch a batched-kernel divergence the moment it appears in a report.
+    shifts behaviour is visible in the same diff.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -109,7 +106,7 @@ def measure_design(
             design = build_design(design_name, config)
             simulator = Simulator(design, config, workload=trace.name)
             started = time.perf_counter()
-            result = simulator.run(arrays, path=path)
+            result = simulator.run(arrays)
             runs.append(time.perf_counter() - started)
     best = min(runs)
     assert result is not None
@@ -121,7 +118,6 @@ def measure_design(
         "cycles": result.cycles,
         "total_latency": result.total_latency,
         "ctr_miss_rate": result.ctr_miss_rate,
-        "path": path,
     }
 
 
@@ -242,22 +238,12 @@ def run_benchmark(
     repeats: int = 3,
     config: Optional[SimulationConfig] = None,
     serve: bool = True,
-    paths: Sequence[str] = ("arrays",),
 ) -> Dict[str, object]:
-    """Measure every design (per dispatch path) and assemble the payload.
-
-    The arrays path keeps the bare design name as its entry key so
-    reports stay comparable across the schema bump; any other path gets a
-    ``design@path`` key (e.g. ``cosmos@batched``).
-    """
+    """Measure every design and assemble the full report payload."""
     trace = hotpath_trace(n=n, seed=seed)
     results: Dict[str, object] = {}
     for name in designs:
-        for path in paths:
-            key = name if path == "arrays" else f"{name}@{path}"
-            results[key] = measure_design(
-                name, trace, config=config, repeats=repeats, path=path
-            )
+        results[name] = measure_design(name, trace, config=config, repeats=repeats)
     payload: Dict[str, object] = {
         "schema": SCHEMA,
         "generated_unix": int(time.time()),
@@ -379,11 +365,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="timed runs per design; best is reported (default: %(default)s)",
     )
     parser.add_argument(
-        "--path", default="arrays", metavar="PATH[,PATH...]",
-        help="comma-separated dispatch paths to measure per design "
-             "(arrays, batched, objects; default: %(default)s)",
-    )
-    parser.add_argument(
         "--output", type=Path, default=Path(DEFAULT_OUTPUT),
         help="report path (default: %(default)s in the current directory)",
     )
@@ -457,13 +438,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             f" · ratio {timings['on_off_ratio']:.3f}"
         )
         return 0
-    paths = tuple(p.strip() for p in args.path.split(",") if p.strip())
-    for p in paths:
-        if p not in ("arrays", "batched", "objects", "auto"):
-            parser.error(f"unknown dispatch path {p!r}")
     payload = run_benchmark(
-        designs=args.designs, n=args.n, seed=args.seed, repeats=args.repeats,
-        paths=paths or ("arrays",),
+        designs=args.designs, n=args.n, seed=args.seed, repeats=args.repeats
     )
     write_report(payload, args.output)
     print(format_report(payload))

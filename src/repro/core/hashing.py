@@ -8,8 +8,6 @@ Q-tables see a uniform state distribution.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 #: First splitmix64 mixing constant (prime-derived, Vigna 2017).
@@ -73,28 +71,3 @@ def hash_block(block_address: int, num_states: int = DEFAULT_NUM_STATES) -> int:
     value = (value * _MIX2) & _MASK64
     value ^= value >> 31
     return value % num_states
-
-
-def hash_block_batch(
-    block_addresses: np.ndarray, num_states: int = DEFAULT_NUM_STATES
-) -> np.ndarray:
-    """Vectorised :func:`hash_block` over an array of block addresses.
-
-    Bit-exact with the scalar form for every non-negative block address:
-    the state mask keeps inputs inside 42 bits, so the whole pipeline fits
-    ``uint64`` and the wrap-around multiplies match Python's ``& _MASK64``
-    arithmetic.  The batched simulation kernel uses this to precompute the
-    RL state stream for a whole epoch's miss tail in one shot.
-    """
-    if num_states <= 0:
-        raise ValueError("num_states must be positive")
-    value = np.asarray(block_addresses).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        value = (value & np.uint64(_STATE_MASK)) + np.uint64(_GAMMA)
-        value ^= value >> np.uint64(30)
-        value *= np.uint64(_MIX1)
-        value ^= value >> np.uint64(27)
-        value *= np.uint64(_MIX2)
-        value ^= value >> np.uint64(31)
-        value %= np.uint64(num_states)
-    return value.astype(np.int64)

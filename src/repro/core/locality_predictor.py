@@ -75,18 +75,13 @@ class CtrLocalityPredictor:
         """Hashed RL state for a counter-line address."""
         return hash_block(ctr_block, self._num_states)
 
-    def predict(self, ctr_block: int, state: Optional[int] = None) -> Tuple[int, int]:
+    def predict(self, ctr_block: int) -> Tuple[int, int]:
         """Run one decision+training step for a CTR access.
 
         Follows Algorithm 1: select the action, grade it against the CET
         (nearby hit => good-locality evidence), update the Q-table with the
         head-of-CET bootstrap, insert the new observation, and settle the
         final reward for any evicted entry.
-
-        ``state`` may carry a precomputed ``hash_block(ctr_block)`` (the
-        batched kernel hashes a whole epoch's counter-line indices at
-        once); the hash is a pure function of the address, so supplying it
-        changes nothing but cost.
 
         Returns:
             Tuple ``(action, score)`` where ``action`` is
@@ -99,8 +94,7 @@ class CtrLocalityPredictor:
         design, so the call overhead is measurable.
         """
         table = self.q_table._table
-        if state is None:
-            state = hash_block(ctr_block, self._num_states)
+        state = hash_block(ctr_block, self._num_states)
         selector = self._selector
         if selector._random() < selector.epsilon:
             selector.explorations += 1

@@ -115,12 +115,7 @@ class DataLocationPredictor:
         action = self._selector.select(self.q_table, state)
         return action, state
 
-    def predict_and_train(
-        self,
-        block_address: int,
-        actually_on_chip: bool,
-        state: Optional[int] = None,
-    ) -> int:
+    def predict_and_train(self, block_address: int, actually_on_chip: bool) -> int:
         """One fused decision+grading step (Algorithm 3, lines 5-20).
 
         The trace-driven simulator learns the true location from the
@@ -131,16 +126,10 @@ class DataLocationPredictor:
         remains the reference implementation).  This runs once per L1
         miss and is the single hottest COSMOS frame.
 
-        ``state`` may carry a precomputed ``hash_block`` value for
-        ``block_address`` (the batched kernel hashes a whole epoch's miss
-        tail at once); it must equal the scalar hash, which is a pure
-        function of the address, so passing it changes nothing but cost.
-
         Returns:
             The selected action (:data:`ON_CHIP` or :data:`OFF_CHIP`).
         """
-        if state is None:
-            state = hash_block(block_address, self._num_states)
+        state = hash_block(block_address, self._num_states)
         row = self.q_table._table[state]
         selector = self._selector
         if selector._random() < selector.epsilon:

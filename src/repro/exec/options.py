@@ -12,8 +12,6 @@ Environment fallbacks::
     REPRO_NO_CACHE=1   disable the result cache
     REPRO_JOB_TIMEOUT  per-job timeout, seconds  (default: none)
     REPRO_SERVE        route matrix runs through a serve server (host:port)
-    REPRO_SIM_PATH     simulator dispatch path for every run
-                       (auto | arrays | objects | batched; default auto)
 """
 
 from __future__ import annotations
@@ -59,11 +57,6 @@ class ExecutionOptions:
             run manifests so a sweep's parallelism is explainable later.
         serve: ``host:port`` of a ``repro serve`` server; when set, matrix
             runs submit their jobs there instead of running locally.
-        sim_path: Simulator dispatch path forced on every run (``"auto"``,
-            ``"arrays"``, ``"objects"`` or ``"batched"``).  All paths are
-            metric-identical by contract, so this is purely a performance
-            knob; it is recorded in run manifests but excluded from job
-            content hashes.
     """
 
     jobs: int = 1
@@ -72,16 +65,6 @@ class ExecutionOptions:
     retries: int = 1
     jobs_source: str = "default"
     serve: Optional[str] = None
-    sim_path: str = "auto"
-
-
-#: Accepted values for ``sim_path`` / ``REPRO_SIM_PATH`` / ``--sim-path``.
-SIM_PATHS = ("auto", "arrays", "objects", "batched")
-
-
-def _sim_path_from_env() -> str:
-    raw = os.environ.get("REPRO_SIM_PATH", "").strip().lower()
-    return raw if raw in SIM_PATHS else "auto"
 
 
 def options_from_env() -> ExecutionOptions:
@@ -94,7 +77,6 @@ def options_from_env() -> ExecutionOptions:
         timeout=float(timeout_raw) if timeout_raw else None,
         jobs_source="env" if jobs_raw else "default",
         serve=os.environ.get("REPRO_SERVE") or None,
-        sim_path=_sim_path_from_env(),
     )
 
 
@@ -115,7 +97,6 @@ def set_options(
     retries: object = _UNSET,
     jobs_source: object = _UNSET,
     serve: object = _UNSET,
-    sim_path: object = _UNSET,
 ) -> ExecutionOptions:
     """Override selected fields process-wide; unspecified fields keep
     their current (or environment-derived) values.  Returns the result."""
@@ -136,13 +117,6 @@ def set_options(
         updates["jobs_source"] = str(jobs_source)
     if serve is not _UNSET:
         updates["serve"] = serve  # type: ignore[typeddict-item]
-    if sim_path is not _UNSET:
-        value = str(sim_path).strip().lower()
-        if value not in SIM_PATHS:
-            raise ValueError(
-                f"sim_path must be one of {SIM_PATHS}, not {sim_path!r}"
-            )
-        updates["sim_path"] = value
     _OPTIONS = replace(current, **updates)  # type: ignore[arg-type]
     return _OPTIONS
 

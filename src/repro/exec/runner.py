@@ -35,7 +35,6 @@ from .. import obs
 from ..sim.results import SimulationResult
 from .cache import ResultCache
 from .jobs import JobSpec
-from .options import get_options
 from .scheduler import dedupe_specs
 from .telemetry import JobRecord, ProgressTicker, RunReport
 from .worker import run_job
@@ -110,7 +109,6 @@ class ParallelRunner:
         ordered = dedupe_specs(specs)
 
         report = RunReport(jobs_requested=self.jobs, jobs_source=self.jobs_source,
-                           sim_path=get_options().sim_path,
                            duplicates=len(specs) - len(ordered))
         self.report = report
         if self.cache is not None:

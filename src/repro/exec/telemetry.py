@@ -86,10 +86,6 @@ class RunReport:
     #: Where the worker count came from ("default", "env", "flag", "auto",
     #: "explicit") — makes a manifest's parallelism explainable later.
     jobs_source: str = "explicit"
-    #: Simulator dispatch path forced on this run's jobs ("auto", "arrays",
-    #: "objects" or "batched") — metric-identical by contract, recorded so
-    #: a sweep's performance profile is explainable later.
-    sim_path: str = "auto"
     #: Submitted cells that collapsed onto another cell's content hash and
     #: fanned out that job's result instead of executing again.
     duplicates: int = 0
@@ -152,7 +148,6 @@ class RunReport:
             "workers": self.workers,
             "mode": self.mode,
             "jobs_source": self.jobs_source,
-            "sim_path": self.sim_path,
             "run_id": self.run_id,
             "pid": os.getpid(),
             "trace": self.trace,
@@ -192,7 +187,6 @@ class RunReport:
             workers=int(data.get("workers", 1)),
             mode=str(data.get("mode", "serial")),
             jobs_source=str(data.get("jobs_source", "explicit")),
-            sim_path=str(data.get("sim_path", "auto")),
             duplicates=int(totals.get("duplicates", 0)),
             records=[JobRecord.from_dict(j) for j in data.get("jobs", [])],
             wall_time=float(totals.get("wall_time_s", 0.0)),

@@ -18,13 +18,6 @@ from ..obs.artifacts import obs_root, write_job_artifacts
 from ..sim.results import SimulationResult
 from ..sim.simulator import Simulator, build_design
 from .jobs import JobSpec
-from .options import get_options
-
-
-def _sim_path():
-    """The dispatch path every job run should force (None = auto)."""
-    path = get_options().sim_path
-    return None if path == "auto" else path
 
 
 def run_job(spec: JobSpec) -> SimulationResult:
@@ -66,7 +59,7 @@ def run_job(spec: JobSpec) -> SimulationResult:
                 build_design(spec.design, spec.config), spec.config,
                 workload=spec.workload,
             )
-            result = simulator.run(trace, path=_sim_path())
+            result = simulator.run(trace)
     # Stamp the propagated trace context (run_id + this worker's pid) so
     # ``repro obs merge`` can attribute this job's span tree to the right
     # process under the orchestrator's run.
@@ -88,15 +81,7 @@ def run_job(spec: JobSpec) -> SimulationResult:
 
 
 def simulate_spec(spec: JobSpec, trace) -> SimulationResult:
-    """The bare simulation of a spec over an already-generated trace.
-
-    The dispatch path comes from the process-wide execution options
-    (``--sim-path`` / ``REPRO_SIM_PATH``); paths are metric-identical by
-    contract, so this never changes what a spec produces — only how fast.
-    """
+    """The bare simulation of a spec over an already-generated trace."""
     from ..sim.simulator import simulate
 
-    return simulate(
-        spec.design, trace, spec.config, workload=spec.workload,
-        path=_sim_path(),
-    )
+    return simulate(spec.design, trace, spec.config, workload=spec.workload)

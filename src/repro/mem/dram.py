@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .access import BLOCK_SHIFT
 
 #: Scheduling-window length (cycles) over which bus utilisation is
@@ -288,24 +286,6 @@ class DramModel:
             | column
         )
 
-    def decode_batch(self, block_addresses):
-        """Vectorised :meth:`decode` over an array of block addresses.
-
-        Returns ``(channels, banks, rows, columns)`` as parallel int64
-        arrays — the same bit-field split as the scalar form, element for
-        element.  The batched simulation kernel uses this to pre-split a
-        whole epoch's miss tail in one shot (the bank *state machine*
-        stays scalar: each request's latency depends on the previous
-        one's side effects).
-        """
-        blocks = np.asarray(block_addresses, dtype=np.int64)
-        return (
-            (blocks >> self._channel_shift) & self._channel_mask,
-            (blocks >> self._bank_shift) & self._bank_mask,
-            blocks >> self._row_shift,
-            blocks & self._column_mask,
-        )
-
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
@@ -456,9 +436,7 @@ class DramModel:
         Returns ``{(channel, bank, row): activations}`` for the window the
         most recent request on each channel fell into.  A pure function of
         the request stream: replaying the same ``(block_address, is_write,
-        now)`` sequence yields byte-identical ledgers, which is what makes
-        the RowHammer planner path-invariant across the ``arrays`` /
-        ``objects`` / ``batched`` simulation kernels.
+        now)`` sequence yields byte-identical ledgers.
         """
         channels = range(self.num_channels) if channel is None else (channel,)
         counts: Dict[Tuple[int, int, int], int] = {}

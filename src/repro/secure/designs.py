@@ -28,35 +28,20 @@ under the per-core reading of the paper's 128KB; see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional
 
 from ..core.config import CosmosConfig
 from ..core.cosmos import CosmosController, CosmosVariant
-from ..core.hashing import hash_block_batch
 from ..core.lcr_cache import FLAG_GOOD, LcrReplacementPolicy
 from ..core.locality_predictor import GOOD_LOCALITY
 from ..core.location_predictor import OFF_CHIP
 from ..mem.access import MemoryAccess
-from ..mem.cache import Cache
 from ..mem.dram import DramModel
 from ..mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..mem.stats import TrafficStats
 from .counters import make_counter_scheme
 from .engine import EngineConfig, SecureMemoryEngine
 from .layout import SecureLayout
-
-#: Sentinel tags for empty L1 ways in :meth:`SecureDesign.snapshot_tags`.
-#: Real block addresses are non-negative, so the sentinels can never match
-#: an access, and they are distinct so the (MRU, LRU) pair stays distinct.
-BATCH_EMPTY_TOP = -1
-BATCH_EMPTY_SECOND = -2
-
-#: Hit runs at least this long go through the vectorised bulk application
-#: in :meth:`SecureDesign.apply_hits_batch`; shorter runs use the scalar
-#: loop (the numpy set-up cost dominates below this).
-_BULK_HIT_RUN = 48
 
 
 @dataclass(slots=True)
@@ -162,185 +147,6 @@ class SecureDesign:
         for cache in self.hierarchy.l2:
             cache.stats.reset()
         self.hierarchy.llc.stats.reset()
-
-    # ------------------------------------------------------------------
-    # Batched-kernel contract (repro.sim.batched)
-    # ------------------------------------------------------------------
-    def supports_batch_hits(self) -> bool:
-        """True when the L1s satisfy the batched kernel's classifier model.
-
-        The epoch classifier replays 2-way LRU with always-fill semantics,
-        which is exactly what :class:`~repro.mem.cache.Cache` under the
-        plain :class:`~repro.mem.replacement.LRUPolicy` does.  Any other
-        associativity, a custom policy, or a cache subclass falls back to
-        the scalar arrays path.
-        """
-        for cache in self.hierarchy.l1:
-            if type(cache) is not Cache or cache.assoc != 2 or cache._lru is None:
-                return False
-        return True
-
-    def snapshot_tags(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Snapshot per-set L1 state as (MRU tag, LRU tag) carry arrays.
-
-        Indexed by ``core * num_sets + set_index``.  Empty ways hold the
-        distinct negative sentinels so the classifier's two-way state is
-        always a pair of unequal values that no real access can match.
-        The batched kernel calls this to (re)seed its carry state — at the
-        first epoch and after a split-on-first-invalidation fallback.
-        """
-        l1 = self.hierarchy.l1
-        num_sets = l1[0].num_sets
-        top = np.full(len(l1) * num_sets, BATCH_EMPTY_TOP, dtype=np.int64)
-        second = np.full(len(l1) * num_sets, BATCH_EMPTY_SECOND, dtype=np.int64)
-        for core, cache in enumerate(l1):
-            base = core * num_sets
-            for index, target_set in enumerate(cache._sets):
-                if not target_set:
-                    continue
-                lines = list(target_set.values())
-                if len(lines) == 1:
-                    top[base + index] = lines[0].tag
-                else:
-                    first, other = lines
-                    if first.lru_tick >= other.lru_tick:
-                        top[base + index] = first.tag
-                        second[base + index] = other.tag
-                    else:
-                        top[base + index] = other.tag
-                        second[base + index] = first.tag
-        return top, second
-
-    def apply_hits_batch(
-        self,
-        blocks,
-        writes,
-        cores,
-        start: int,
-        stop: int,
-        np_arrays=None,
-    ) -> Tuple[int, int]:
-        """Apply a run of pre-classified L1 hits ``[start, stop)`` in order.
-
-        Replicates exactly what ``process_fast`` does for an L1 hit —
-        ``stats.hits``/``referenced``/``dirty``/``lru_tick`` on the line,
-        plus the design's access counter and program-order clock — without
-        walking the hierarchy.  Long runs take a vectorised path that
-        assigns the same final tick values (intermediate ticks on a line
-        are unobservable: nothing reads L1 LRU state between two misses).
-
-        Returns:
-            ``(applied, latency_sum)``.  ``applied < stop - start`` means
-            a classified hit was not resident (the defensive re-validation
-            failed); the caller must fall back to scalar processing from
-            ``start + applied`` and re-snapshot its carry state.
-        """
-        n = stop - start
-        if n <= 0:
-            return 0, 0
-        l1 = self.hierarchy.l1
-        l1_latency = self._l1_latency
-        if (
-            n >= _BULK_HIT_RUN
-            and np_arrays is not None
-            and self._apply_hits_bulk(np_arrays, start, stop)
-        ):
-            self.stats.accesses += n
-            self._now += n * (1 + l1_latency)
-            return n, n * l1_latency
-        mask = l1[0]._set_mask
-        applied = 0
-        for i in range(start, stop):
-            block = blocks[i]
-            cache = l1[cores[i]]
-            line = cache._sets[block & mask].get(block)
-            if line is None:
-                break
-            cache.stats.hits += 1
-            line.referenced = True
-            if writes[i]:
-                line.dirty = True
-            lru = cache._lru
-            lru._tick = tick = lru._tick + 1
-            line.lru_tick = tick
-            applied += 1
-        if applied:
-            self.stats.accesses += applied
-            self._now += applied * (1 + l1_latency)
-        return applied, applied * l1_latency
-
-    def _apply_hits_bulk(self, np_arrays, start: int, stop: int) -> bool:
-        """Vectorised hit application; all-or-nothing.
-
-        Validates residency of every distinct line first and mutates
-        nothing on failure, so the scalar loop can re-run the same span
-        and stop at the exact first invalidation.
-        """
-        blocks_arr, writes_arr, cores_arr = np_arrays
-        run_blocks = blocks_arr[start:stop]
-        run_writes = writes_arr[start:stop]
-        run_cores = cores_arr[start:stop]
-        l1 = self.hierarchy.l1
-        mask = l1[0]._set_mask
-        staged = []
-        for core in np.unique(run_cores).tolist():
-            selector = run_cores == core
-            core_blocks = run_blocks[selector]
-            core_writes = run_writes[selector]
-            cache = l1[core]
-            sets = cache._sets
-            reversed_blocks = core_blocks[::-1]
-            uniq, first_rev, inverse = np.unique(
-                reversed_blocks, return_index=True, return_inverse=True
-            )
-            lines = []
-            for block in uniq.tolist():
-                line = sets[block & mask].get(block)
-                if line is None:
-                    return False
-                lines.append(line)
-            k = len(core_blocks)
-            # Last hit of each line in forward order gets the tick the
-            # scalar loop would leave behind: base + position + 1.
-            final_ticks = (k - first_rev).tolist()
-            if core_writes.any():
-                dirty = (
-                    np.bincount(
-                        inverse, weights=core_writes[::-1].astype(np.float64)
-                    )
-                    > 0
-                ).tolist()
-            else:
-                dirty = None
-            staged.append((cache, lines, final_ticks, dirty, k))
-        for cache, lines, final_ticks, dirty, k in staged:
-            lru = cache._lru
-            base = lru._tick
-            lru._tick = base + k
-            cache.stats.hits += k
-            if dirty is None:
-                for line, tick in zip(lines, final_ticks):
-                    line.referenced = True
-                    line.lru_tick = base + tick
-            else:
-                for line, tick, is_dirty in zip(lines, final_ticks, dirty):
-                    line.referenced = True
-                    line.lru_tick = base + tick
-                    if is_dirty:
-                        line.dirty = True
-        return True
-
-    def stage_predictions(self, miss_blocks: np.ndarray) -> None:
-        """Precompute per-miss RL state for an epoch's miss tail (no-op here).
-
-        Designs with RL predictors override this to hash the whole miss
-        tail vectorised; the scalar drain then consumes the staged values
-        with a per-miss block-match check (the hash is a pure function of
-        the address, so a match guarantees the same value).
-        """
-
-    def clear_staged(self) -> None:
-        """Drop any staged predictions (end of epoch or fallback)."""
 
     # ------------------------------------------------------------------
     # Observability
@@ -694,17 +500,6 @@ class CosmosDesign(ProtectedDesign):
         self._locality = self.controller.locality
         if self.variant.ctr_predictor:
             self.engine.ctr_classifier = self._classify_ctr_index
-        # Staged RL state for the batched kernel's miss tail: parallel
-        # lists of (miss block, location-hash, ctr-hash) consumed in miss
-        # order by process_fast with a block-match check per pop.  The
-        # hint pair carries the current miss's CTR hash to _ctr_access,
-        # which prefetch fills may also enter with unrelated blocks.
-        self._staged_blocks = None
-        self._staged_loc = None
-        self._staged_ctr = None
-        self._staged_pos = 0
-        self._ctr_hint_block = -1
-        self._ctr_hint_state = 0
 
     def _make_ctr_policy(self):
         if self.variant.ctr_predictor:
@@ -732,41 +527,11 @@ class CosmosDesign(ProtectedDesign):
         probes.update(self.controller.obs_probes())
         return probes
 
-    def stage_predictions(self, miss_blocks: np.ndarray) -> None:
-        location = self._location
-        if location is None or len(miss_blocks) == 0:
-            return
-        self._staged_blocks = miss_blocks.tolist()
-        self._staged_loc = hash_block_batch(
-            miss_blocks, location._num_states
-        ).tolist()
-        locality = self._locality
-        if locality is not None:
-            ctr_indices = miss_blocks // self.engine.scheme.blocks_per_ctr
-            self._staged_ctr = hash_block_batch(
-                ctr_indices, locality._num_states
-            ).tolist()
-        else:
-            self._staged_ctr = None
-        self._staged_pos = 0
-
-    def clear_staged(self) -> None:
-        self._staged_blocks = None
-        self._staged_loc = None
-        self._staged_ctr = None
-        self._staged_pos = 0
-        self._ctr_hint_block = -1
-
     def _ctr_access(self, block: int, now: int = 0):
         flag = score = None
         locality = self._locality
         if locality is not None:
-            if block == self._ctr_hint_block:
-                action, score = locality.predict(
-                    self.engine.scheme.ctr_index(block), self._ctr_hint_state
-                )
-            else:
-                action, score = locality.predict(self.engine.scheme.ctr_index(block))
+            action, score = locality.predict(self.engine.scheme.ctr_index(block))
             flag = FLAG_GOOD if action == GOOD_LOCALITY else 0
         return self.engine.ctr_access(
             block, locality_flag=flag, locality_score=score, now=now
@@ -784,24 +549,9 @@ class CosmosDesign(ProtectedDesign):
         block = block_address
         location = self._location
         if location is not None:
-            state = None
-            staged = self._staged_blocks
-            if staged is not None:
-                pos = self._staged_pos
-                if pos < len(staged) and staged[pos] == block:
-                    state = self._staged_loc[pos]
-                    staged_ctr = self._staged_ctr
-                    if staged_ctr is not None:
-                        self._ctr_hint_block = block
-                        self._ctr_hint_state = staged_ctr[pos]
-                    self._staged_pos = pos + 1
-                else:
-                    # Desynchronised (scalar fallback mid-epoch): the
-                    # staged stream no longer lines up — recompute.
-                    self.clear_staged()
             # Fused predict+train: the concurrent walk already revealed
             # the truth, so the prediction is graded in the same call.
-            action = location.predict_and_train(block, not result.needs_memory, state)
+            action = location.predict_and_train(block, not result.needs_memory)
             predicted_off = action == OFF_CHIP
         else:
             predicted_off = False
@@ -874,20 +624,7 @@ class CosmosEarlyDesign(CosmosDesign):
         block = block_address
         location = self._location
         if location is not None:
-            state = None
-            staged = self._staged_blocks
-            if staged is not None:
-                pos = self._staged_pos
-                if pos < len(staged) and staged[pos] == block:
-                    state = self._staged_loc[pos]
-                    staged_ctr = self._staged_ctr
-                    if staged_ctr is not None:
-                        self._ctr_hint_block = block
-                        self._ctr_hint_state = staged_ctr[pos]
-                    self._staged_pos = pos + 1
-                else:
-                    self.clear_staged()
-            action = location.predict_and_train(block, not result.needs_memory, state)
+            action = location.predict_and_train(block, not result.needs_memory)
             predicted_off = action == OFF_CHIP
         else:
             predicted_off = False

@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..exec.cache import ResultCache, write_json_atomic
 from ..exec.jobs import JobSpec
-from ..exec.options import auto_jobs, get_options
+from ..exec.options import auto_jobs
 from ..exec.scheduler import InflightTable, dedupe_specs
 from ..exec.telemetry import JobRecord, RunReport
 from ..exec.worker import run_job
@@ -170,7 +170,6 @@ class _Submission:
         self.report = RunReport(
             jobs_requested=server.jobs, workers=server.jobs, mode="serve",
             jobs_source=server.jobs_source, duplicates=duplicates,
-            sim_path=get_options().sim_path,
             run_id=server.run_id,
         )
         self.total = total

@@ -5,25 +5,16 @@ substitution 1): accesses flow through the design's cache hierarchy and
 secure-memory engine, per-access latencies are accumulated, and an IPC
 proxy is derived with a fixed memory-level-parallelism overlap factor.
 
-Three dispatch paths are accepted by :meth:`Simulator.run`:
-
-* **array traces** (:class:`~repro.workloads.trace.Trace` /
-  :class:`~repro.workloads.trace.TraceArrays`) take the fast path — the
-  packed address/type/core arrays are unpacked once into scalar lists and
-  fed to ``design.process_fast`` with pre-shifted block addresses, so no
-  per-access object is ever constructed;
-* the **batched** path (``path="batched"``) layers the epoch-batched
-  kernel of :mod:`repro.sim.batched` on top of the same arrays: each
-  epoch's exact L1 hit/miss partition is computed vectorised and only the
-  miss tail runs through scalar ``process_fast``, falling back to the
-  arrays path for designs the kernel cannot model;
-* any other ``Iterable[MemoryAccess]`` (lists, generators) takes the
-  legacy object path through ``design.process``.
-
-All paths execute the identical sequence of cache/engine operations and
-therefore produce byte-identical metrics — a contract locked down by the
-golden-metrics determinism test and the ``verify diff --path-pair``
-differential oracle.
+Every trace reaches the design through one loop.  :meth:`Simulator.run`
+packs whatever it is given — a :class:`~repro.workloads.trace.TraceArrays`,
+anything with an ``arrays()`` method (a
+:class:`~repro.workloads.trace.Trace`), or a plain iterable of
+``MemoryAccess`` streamed through
+:meth:`~repro.workloads.trace.TraceArrays.from_iter` — into parallel
+address/type/core arrays, unpacks them once into scalar lists and feeds
+``design.process_fast`` with pre-shifted block addresses, so no
+per-access object is ever constructed.  The golden-metrics test pins the
+resulting payloads for every design and input kind.
 """
 
 from __future__ import annotations
@@ -37,7 +28,6 @@ from ..secure.counters import make_counter_scheme
 from ..secure.designs import CosmosDesign, SecureDesign, make_design
 from ..secure.layout import SecureLayout
 from ..workloads.trace import TraceArrays
-from .batched import run_batched
 from .config import SimulationConfig
 from .results import SimulationResult
 
@@ -117,16 +107,15 @@ class Simulator:
         progress_interval: int = 100_000,
         warmup_accesses: int = 0,
         path: Optional[str] = None,
-        batch_epoch: Optional[int] = None,
     ) -> SimulationResult:
         """Simulate every access in ``trace`` and return the result.
 
         Args:
-            trace: Either an iterable of accesses (a list or a generator)
-                or an array-native trace — a :class:`TraceArrays` or any
+            trace: An array-native trace — a :class:`TraceArrays` or any
                 object exposing a zero-argument ``arrays()`` method (e.g.
-                :class:`~repro.workloads.trace.Trace`).  Array traces take
-                the allocation-free fast path.
+                :class:`~repro.workloads.trace.Trace`) — or any iterable
+                of accesses (a list or a generator), which is packed into
+                arrays chunk by chunk.
             progress_hook: Optional callback ``(accesses_done, simulator)``
                 invoked every ``progress_interval`` accesses — used by the
                 convergence experiments (paper Fig. 8) to snapshot metrics
@@ -135,21 +124,8 @@ class Simulator:
             warmup_accesses: Accesses to process before the measurement
                 window: caches fill and predictors train during warmup,
                 but every statistic is reset afterwards.
-            path: Force a dispatch path instead of auto-detecting from the
-                trace type: ``"arrays"`` (the allocation-free fast loop),
-                ``"batched"`` (the epoch-batched vectorised kernel of
-                :mod:`repro.sim.batched`, falling back to the arrays loop
-                for designs it cannot model) or ``"objects"`` (the legacy
-                ``design.process`` loop).  All paths execute the identical
-                operation sequence and must produce byte-identical
-                metrics — the contract the differential oracle
-                (``repro.verify``) checks by running the same trace down
-                each one.  ``None``/``"auto"`` keeps the existing
-                behaviour.
-            batch_epoch: Epoch length for the batched kernel (default
-                :data:`repro.sim.batched.DEFAULT_EPOCH`).  Metrics never
-                depend on it — chunk-boundary tests and the fuzz harness
-                vary it to prove exactly that.  Ignored on other paths.
+            path: Name of the simulation loop; ``None`` or ``"arrays"``,
+                the only one.  Kept for callers that name it explicitly.
 
         When observability is enabled (``REPRO_OBS=1``), a
         :class:`~repro.obs.timeseries.SimSampler` rides in the progress-hook
@@ -157,9 +133,11 @@ class Simulator:
         verify depth, DRAM row-buffer hit rate and RL predictor state into
         ``self.sampler.series``, and rare events (counter overflows,
         re-encryption storms, predictor mode flips) into
-        ``self.sampler.events``.  When disabled, the hookless fast loops
-        run exactly as before — this check is the only cost.
+        ``self.sampler.events``.  When disabled, the loop runs without a
+        hook and this check is the only cost.
         """
+        if path not in (None, "arrays"):
+            raise ValueError(f"path must be None or 'arrays', not {path!r}")
         sampler: Optional[obs.SimSampler] = None
         if obs.enabled():
             sampler = obs.SimSampler(self)
@@ -173,34 +151,16 @@ class Simulator:
             progress_hook, progress_interval = _merge_hooks(
                 progress_hook, progress_interval, sampler
             )
-        if path not in (None, "auto", "arrays", "objects", "batched"):
-            raise ValueError(
-                f"path must be 'arrays', 'batched', 'objects' or 'auto', not {path!r}"
-            )
-        arrays: Optional[TraceArrays] = None
-        if path != "objects":
-            if isinstance(trace, TraceArrays):
-                arrays = trace
-            else:
-                to_arrays = getattr(trace, "arrays", None)
-                if callable(to_arrays):
-                    arrays = to_arrays()
-            if arrays is None and path in ("arrays", "batched"):
-                # Stream plain iterables into packed arrays chunk by chunk
-                # instead of materialising the whole trace as a list first.
-                arrays = TraceArrays.from_iter(trace)
-        elif isinstance(trace, TraceArrays):
-            trace = trace.to_accesses()
+        if isinstance(trace, TraceArrays):
+            arrays = trace
+        elif callable(getattr(trace, "arrays", None)):
+            arrays = trace.arrays()
+        else:
+            # Stream plain iterables into packed arrays chunk by chunk
+            # instead of materialising the whole trace as a list first.
+            arrays = TraceArrays.from_iter(trace)
         with obs.span("sim.run", design=self.design.name, workload=self.workload):
-            if arrays is not None and path == "batched":
-                self._run_batched(
-                    arrays, progress_hook, progress_interval, warmup_accesses,
-                    batch_epoch,
-                )
-            elif arrays is not None:
-                self._run_arrays(arrays, progress_hook, progress_interval, warmup_accesses)
-            else:
-                self._run_objects(trace, progress_hook, progress_interval, warmup_accesses)
+            self._run_arrays(arrays, progress_hook, progress_interval, warmup_accesses)
         if sampler is not None:
             sampler.finish(self.accesses)
         return self.result()
@@ -212,7 +172,7 @@ class Simulator:
         progress_interval: int,
         warmup_accesses: int,
     ) -> None:
-        """Array fast path: scalars straight into ``design.process_fast``.
+        """The simulation loop: scalars straight into ``design.process_fast``.
 
         The packed arrays are unpacked once (``tolist`` yields plain
         Python ints/bools, the exact values ``MemoryAccess`` would carry),
@@ -243,61 +203,6 @@ class Simulator:
             return
         for index in range(start, len(blocks)):
             self.total_latency += process(blocks[index], writes[index], cores[index])
-            self.accesses += 1
-            if self.accesses % progress_interval == 0:
-                progress_hook(self.accesses, self)
-
-    def _run_batched(
-        self,
-        arrays: TraceArrays,
-        progress_hook: Optional[Callable[[int, "Simulator"], None]],
-        progress_interval: int,
-        warmup_accesses: int,
-        batch_epoch: Optional[int] = None,
-    ) -> None:
-        """Epoch-batched kernel; falls back to the scalar arrays loop.
-
-        :func:`repro.sim.batched.run_batched` returns False — without
-        touching any design or simulator state — when the design's L1s do
-        not satisfy the kernel's model (associativity != 2, custom
-        replacement) or the trace carries negative addresses; those runs
-        take the ordinary arrays path and still produce identical metrics.
-        """
-        if not run_batched(
-            self, arrays, progress_hook, progress_interval, warmup_accesses,
-            epoch_size=batch_epoch,
-        ):
-            self._run_arrays(arrays, progress_hook, progress_interval, warmup_accesses)
-
-    def _run_objects(
-        self,
-        trace: Iterable[MemoryAccess],
-        progress_hook: Optional[Callable[[int, "Simulator"], None]],
-        progress_interval: int,
-        warmup_accesses: int,
-    ) -> None:
-        """Legacy object path for plain iterables of ``MemoryAccess``."""
-        design = self.design
-        process = design.process
-        iterator = iter(trace)
-        if warmup_accesses > 0:
-            for _, access in zip(range(warmup_accesses), iterator):
-                process(access)
-            design.reset_stats()
-            self.total_latency = 0
-            self.accesses = 0
-        if progress_hook is None:
-            # Hookless loop: the common path pays no per-access hook test.
-            total = 0
-            count = 0
-            for access in iterator:
-                total += process(access)
-                count += 1
-            self.total_latency += total
-            self.accesses += count
-            return
-        for access in iterator:
-            self.total_latency += process(access)
             self.accesses += 1
             if self.accesses % progress_interval == 0:
                 progress_hook(self.accesses, self)
@@ -381,14 +286,12 @@ def simulate(
     trace: Iterable[MemoryAccess],
     config: Optional[SimulationConfig] = None,
     workload: str = "trace",
-    path: Optional[str] = None,
-    batch_epoch: Optional[int] = None,
 ) -> SimulationResult:
     """One-call convenience: build the design, run the trace, return results."""
     config = config if config is not None else SimulationConfig()
     design = build_design(design_name, config)
     simulator = Simulator(design, config, workload)
-    return simulator.run(trace, path=path, batch_epoch=batch_epoch)
+    return simulator.run(trace)
 
 
 def simulate_designs(

@@ -2,9 +2,9 @@
 
 The trust story for the rest of the repository: the functional secure
 memory must *detect every physical attack* (no false negatives), stay
-silent on honest runs (no false positives), and the timing stack's two
-dispatch paths must be byte-identical.  This package attacks both claims
-mechanically — seeded tamper schedules through :mod:`~repro.verify.
+silent on honest runs (no false positives), and the timing stack must
+obey its conservation laws on every run.  This package attacks both
+claims mechanically — seeded tamper schedules through :mod:`~repro.verify.
 attack`, differential and invariant oracles through :mod:`~repro.verify.
 differential`, a fuzz campaign over both through :mod:`~repro.verify.
 fuzz` (``python -m repro verify fuzz``), and a RowHammer disturbance
@@ -19,9 +19,6 @@ from .differential import (
     Divergence,
     check_invariants,
     diff_functional,
-    diff_paths,
-    lockstep_path_pair,
-    lockstep_paths,
     run_with_invariants,
 )
 from .fuzz import replay, run_fuzz, shrink_case
@@ -75,13 +72,10 @@ __all__ = [
     "boundary_hammer_ops",
     "check_invariants",
     "diff_functional",
-    "diff_paths",
     "expected_detector",
     "expected_level",
     "generate_ops",
     "generate_schedule",
-    "lockstep_path_pair",
-    "lockstep_paths",
     "ops_from_trace",
     "plan_hammer",
     "replay",

@@ -6,8 +6,8 @@ Subcommands:
   byte-reproducible JSON summary and exits non-zero on any failure.
 * ``attack`` — one seeded tamper-injection run against the functional
   memory; prints the attack report.
-* ``diff`` — array-vs-object path differential plus engine invariants
-  for one design on a seeded random trace.
+* ``diff`` — engine conservation invariants for one design on a seeded
+  random trace.
 * ``replay`` — re-execute a minimised fuzz repro file.
 * ``hammer`` — RowHammer disturbance-error sweep: aggressor workloads
   and region-boundary scenarios, every planned flip must be detected
@@ -30,7 +30,7 @@ from ..secure.counters import make_counter_scheme
 from ..secure.functional import FunctionalSecureMemory
 from ..sim.simulator import SimulationConfig
 from .attack import AttackError, AttackHarness
-from .differential import diff_paths, run_with_invariants
+from .differential import run_with_invariants
 from .fuzz import DESIGNS, SCHEMES, _random_accesses, replay, run_fuzz
 from .hammer import (
     HammerConfig,
@@ -75,22 +75,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    pair = tuple(p.strip() for p in args.path_pair.split(","))
-    if len(pair) != 2 or not all(
-        p in ("arrays", "objects", "batched") for p in pair
-    ):
-        print(
-            "--path-pair must name two of arrays, objects, batched "
-            f"(got {args.path_pair!r})"
-        )
-        return 2
     rng = random.Random(f"cosmos-verify:diff:{args.seed}")
     accesses = _random_accesses(rng, args.accesses, footprint_blocks=512)
-    config = SimulationConfig()
-    paths_report = diff_paths(args.design, accesses, config, path_pair=pair)
-    invariants = run_with_invariants(args.design, accesses, config)
-    _print({"paths": paths_report.to_dict(), "invariants": invariants.to_dict()})
-    return 0 if paths_report.matched and invariants.matched else 1
+    invariants = run_with_invariants(args.design, accesses, SimulationConfig())
+    _print({"invariants": invariants.to_dict()})
+    return 0 if invariants.matched else 1
 
 
 def _cmd_hammer(args: argparse.Namespace) -> int:
@@ -202,7 +191,7 @@ def add_verify_parser(sub: argparse._SubParsersAction) -> None:
     )
     fuzz.add_argument(
         "--sim-accesses", type=int, default=300,
-        help="simulator trace length for the differential leg",
+        help="simulator trace length for the invariants leg",
     )
     fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -220,16 +209,11 @@ def add_verify_parser(sub: argparse._SubParsersAction) -> None:
     attack.set_defaults(func=_cmd_attack)
 
     diff = verify_sub.add_parser(
-        "diff", help="dispatch-path differential + engine invariants"
+        "diff", help="engine conservation invariants on a seeded trace"
     )
     diff.add_argument("--design", choices=DESIGNS, default="cosmos")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--accesses", type=int, default=2000)
-    diff.add_argument(
-        "--path-pair", default="arrays,objects", metavar="PATH,PATH",
-        help="the two dispatch paths to lockstep (e.g. arrays,batched; "
-             "default: %(default)s)",
-    )
     diff.set_defaults(func=_cmd_diff)
 
     calib = verify_sub.add_parser(

@@ -1,19 +1,7 @@
 """Differential oracle: the same input, two independent computations.
 
-Three flavours of cross-checking, each reporting the *first* divergence
+Two flavours of cross-checking, each reporting the *first* divergence
 rather than a bare mismatch flag:
-
-* :func:`diff_paths` — one trace, one design, two of the simulator's
-  dispatch paths (any pair of ``arrays``/``objects``/``batched``; default
-  the array-native fast path vs the object path).  The implementations
-  share no per-access code beyond the design itself, so a byte-level
-  match of :meth:`~repro.sim.results.SimulationResult.to_dict` is strong
-  evidence a hot-path rewrite preserved semantics.  On mismatch, a
-  lockstep replay pinpoints the first access whose latency disagrees
-  (pairs involving ``objects``), or the first progress-hook epoch whose
-  accumulated ``(accesses, total_latency)`` snapshot disagrees
-  (``arrays`` vs ``batched`` — epoch granularity, since the batched
-  kernel only surfaces state at epoch boundaries).
 
 * :func:`diff_functional` — one op trace, two counter schemes, lockstep
   through two :class:`~repro.secure.functional.FunctionalSecureMemory`
@@ -39,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..secure.designs import SecureDesign
 from ..secure.functional import FunctionalSecureMemory
-from ..sim.simulator import SimulationConfig, build_design, simulate
+from ..sim.simulator import SimulationConfig, Simulator, build_design
 from ..workloads.trace import MemoryAccess, TraceArrays
 from .tamper import Op
 
@@ -111,137 +99,6 @@ def diff_dicts(left: Dict[str, object], right: Dict[str, object], limit: int = 1
             if len(divergences) >= limit:
                 break
     return divergences
-
-
-# ----------------------------------------------------------------------
-# Array path vs object path
-# ----------------------------------------------------------------------
-def _as_access_list(
-    trace: Union[Sequence[MemoryAccess], TraceArrays],
-) -> List[MemoryAccess]:
-    if isinstance(trace, TraceArrays):
-        return trace.to_accesses()
-    return list(trace)
-
-
-def lockstep_paths(
-    design_name: str,
-    accesses: Sequence[MemoryAccess],
-    config: Optional[SimulationConfig] = None,
-) -> Optional[int]:
-    """First access whose latency differs between the two dispatch APIs.
-
-    Drives one fresh design through ``process_fast`` scalars and another
-    through ``process`` objects, comparing per-access latencies; returns
-    the first diverging index, or ``None`` when every access agrees.
-    """
-    config = config if config is not None else SimulationConfig()
-    fast = build_design(design_name, config)
-    slow = build_design(design_name, config)
-    for i, access in enumerate(accesses):
-        latency_fast = fast.process_fast(access.block_address, access.is_write, access.core)
-        latency_slow = slow.process(access)
-        if latency_fast != latency_slow:
-            return i
-    return None
-
-
-def lockstep_path_pair(
-    design_name: str,
-    arrays: TraceArrays,
-    path_a: str,
-    path_b: str,
-    config: Optional[SimulationConfig] = None,
-    epoch: int = 1024,
-) -> Optional[int]:
-    """First access index at whose epoch boundary two paths diverge.
-
-    Runs the same trace down both dispatch paths with a progress hook
-    every ``epoch`` accesses and compares the cumulative
-    ``(accesses, total_latency)`` snapshot streams.  Returns the start of
-    the first epoch whose snapshot disagrees (so the faulty access lies
-    in ``[index, index + epoch)``), or ``None`` when every snapshot —
-    including the final totals — matches.  Epoch granularity is the
-    finest the batched kernel can surface without changing its own
-    behaviour: its counters are flushed exactly at hook boundaries.
-    """
-    from ..sim.simulator import Simulator
-
-    config = config if config is not None else SimulationConfig()
-    streams: List[List[tuple]] = []
-    for path in (path_a, path_b):
-        design = build_design(design_name, config)
-        simulator = Simulator(design, config)
-        snaps: List[tuple] = []
-        simulator.run(
-            arrays,
-            progress_hook=lambda done, s: snaps.append((done, s.total_latency)),
-            progress_interval=epoch,
-            path=path,
-            batch_epoch=epoch,
-        )
-        snaps.append((simulator.accesses, simulator.total_latency))
-        streams.append(snaps)
-    for index, (snap_a, snap_b) in enumerate(zip(*streams)):
-        if snap_a != snap_b:
-            return index * epoch
-    if len(streams[0]) != len(streams[1]):
-        return min(len(streams[0]), len(streams[1])) * epoch
-    return None
-
-
-def diff_paths(
-    design_name: str,
-    trace: Union[Sequence[MemoryAccess], TraceArrays],
-    config: Optional[SimulationConfig] = None,
-    workload: str = "trace",
-    path_pair: tuple = ("arrays", "objects"),
-    epoch: int = 1024,
-) -> DifferentialReport:
-    """One design, one trace, two dispatch paths — first divergence.
-
-    ``path_pair`` picks the two implementations (default array fast path
-    vs object path; ``("arrays", "batched")`` exercises the epoch-batched
-    kernel against its scalar reference).  ``epoch`` is both the batched
-    kernel's chunk size and the lockstep snapshot granularity for pairs
-    that exclude ``objects`` — varying it fuzzes the kernel's
-    chunk-boundary carry handoff, which by contract must never change
-    metrics.
-    """
-    path_a, path_b = path_pair
-    for path in path_pair:
-        if path not in ("arrays", "objects", "batched"):
-            raise ValueError(f"unknown dispatch path {path!r}")
-    accesses = _as_access_list(trace)
-    arrays = TraceArrays.from_accesses(accesses)
-
-    def run(path: str):
-        source = list(accesses) if path == "objects" else arrays
-        return simulate(
-            design_name, source, config, workload, path=path,
-            batch_epoch=epoch,
-        )
-
-    result_a = run(path_a)
-    result_b = run(path_b)
-    divergences = diff_dicts(result_a.to_dict(), result_b.to_dict())
-    first_at: Optional[int] = None
-    if divergences:
-        if "objects" in path_pair:
-            first_at = lockstep_paths(design_name, accesses, config)
-        else:
-            first_at = lockstep_path_pair(
-                design_name, arrays, path_a, path_b, config, epoch
-            )
-    label = f"paths:{design_name}"
-    if path_pair != ("arrays", "objects"):
-        label = f"paths:{design_name}:{path_a}-vs-{path_b}"
-    return DifferentialReport(
-        label=label,
-        matched=not divergences,
-        divergences=divergences,
-        first_divergence_at=first_at,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -417,8 +274,6 @@ def run_with_invariants(
     """Run one design over ``trace`` and apply :func:`check_invariants`."""
     config = config if config is not None else SimulationConfig()
     design = build_design(design_name, config)
-    from ..sim.simulator import Simulator
-
     Simulator(design, config).run(trace)
     problems = check_invariants(design)
     return DifferentialReport(

@@ -8,9 +8,10 @@ Each trial deterministically derives everything from ``(seed, trial)``:
   injection is detected and nothing else fires;
 * a schedule-free **control** run of the same trace — must be silent;
 * a **functional differential** of the same ops through the next scheme;
-* a **timing differential** of a random simulator trace through the
-  trial's design (cycled through all designs): array path vs object
-  path, plus the engine conservation invariants.
+* the engine conservation invariants over a random simulator trace
+  through the trial's design (cycled through all designs);
+* a **RowHammer** leg: a seeded aggressor workload planned into
+  disturbance flips, every one of which must be detected.
 
 Failures are shrunk greedily — drop tamper events one at a time, then
 binary-truncate the op trace — and the minimal case is written to disk
@@ -34,13 +35,13 @@ from ..secure.counters import make_counter_scheme
 from ..secure.functional import FunctionalSecureMemory
 from ..sim.simulator import SimulationConfig
 from .attack import AttackError, AttackHarness, AttackReport
-from .differential import diff_functional, diff_paths, run_with_invariants
+from .differential import diff_functional, run_with_invariants
 from .tamper import Op, TamperSpec, generate_ops, generate_schedule
 
 #: Counter schemes cycled across trials.
 SCHEMES = ("monolithic", "split", "morphctr")
 
-#: Designs cycled across trials for the timing differential.
+#: Designs cycled across trials for the invariants leg.
 DESIGNS = [
     "np", "morphctr", "early", "emcc", "rmcc",
     "cosmos-dp", "cosmos-cp", "cosmos", "cosmos-early",
@@ -177,10 +178,10 @@ def run_fuzz(
     Args:
         seed: Master seed; with the same budget, output is identical.
         budget: Number of trials (each trial = attack + control +
-            functional differential + one design's timing differential).
+            functional differential + one design's invariants + hammer).
         out_dir: Where minimised repro files land (created on demand);
             defaults to ``verify-repros/`` under the current directory.
-        designs: Design pool for the timing differential leg.
+        designs: Design pool for the invariants leg.
         sim_accesses: Length of each trial's simulator trace.
     """
     from ..workloads.hammer import HAMMER_WORKLOADS, generate_hammer_trace
@@ -233,23 +234,7 @@ def run_fuzz(
         design = designs[trial % len(designs)]
         designs_checked.add(design)
         accesses = _random_accesses(rng, sim_accesses, footprint_blocks=512)
-        config = SimulationConfig()
-        paths_report = diff_paths(design, accesses, config)
-        if not paths_report.matched:
-            failures.append(f"path differential diverged: {paths_report.to_dict()}")
-        # Second leg: the epoch-batched kernel against its scalar arrays
-        # reference, with a trial-varied epoch so chunk boundaries (and
-        # the carry handoff between them) are fuzzed too.
-        batched_report = diff_paths(
-            design, accesses, config,
-            path_pair=("arrays", "batched"),
-            epoch=rng.choice((64, 256, 1024)),
-        )
-        if not batched_report.matched:
-            failures.append(
-                f"batched differential diverged: {batched_report.to_dict()}"
-            )
-        invariants = run_with_invariants(design, accesses, config)
+        invariants = run_with_invariants(design, accesses, SimulationConfig())
         if not invariants.matched:
             failures.append(f"invariants violated: {invariants.to_dict()}")
 
@@ -303,9 +288,7 @@ def run_fuzz(
         if failures:
             min_ops, min_schedule = (list(ops), list(schedule))
             attack_related = any(
-                not f.startswith(
-                    ("path ", "batched ", "invariants", "functional", "hammer leg")
-                )
+                not f.startswith(("invariants", "functional", "hammer leg"))
                 for f in failures
             )
             if attack_related and schedule:

@@ -21,12 +21,6 @@ def _hermetic_exec_env(monkeypatch):
     must not leak in.  Explicit exec-option overrides and observability
     state (registry, span recorder, enabled override) are also dropped
     between tests.
-
-    ``REPRO_SIM_PATH`` is deliberately *not* stripped: every dispatch
-    path is metric-identical by contract, so an outer
-    ``REPRO_SIM_PATH=batched`` runs the whole suite through the batched
-    kernel — a cheap way for CI to exercise it against every test's
-    expectations without a dedicated matrix.
     """
     from repro import obs
     from repro.exec import reset_options

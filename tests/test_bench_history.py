@@ -19,11 +19,11 @@ from repro.bench.history import (
 
 def _payload(rate=100000.0, dram=50000.0, n=20000):
     return {
-        "schema": "repro.bench.perf/v2",
+        "schema": "repro.bench.perf/v3",
         "trace": {"kind": "zipf", "n": n, "seed": 11, "write_fraction": 0.3},
         "results": {
             "cosmos": {"accesses_per_sec": rate},
-            "cosmos@batched": {"accesses_per_sec": rate * 1.5},
+            "morphctr": {"accesses_per_sec": rate * 1.5},
         },
         "dram_microbench": {"requests_per_sec": dram},
     }
@@ -44,7 +44,7 @@ def test_history_entry_distils_payload():
     assert entry["sha"] == "deadbeef" and entry["ts"] == 1700000000
     assert entry["trace"]["n"] == 20000
     assert entry["throughput"] == {"cosmos": 100000.0,
-                                   "cosmos@batched": 150000.0}
+                                   "morphctr": 150000.0}
     assert entry["dram_rps"] == 50000.0
     assert "serve_rps" not in entry
 
@@ -90,7 +90,7 @@ def test_trend_flags_synthetic_drift():
     assert cosmos["median"] == 100000.0
     assert cosmos["drift"] == pytest.approx(-0.05)
     assert cosmos["flag"] is True
-    assert set(analysis["flags"]) == {"cosmos", "cosmos@batched"}
+    assert set(analysis["flags"]) == {"cosmos", "morphctr"}
     rendered = format_trend(analysis)
     assert "DRIFT" in rendered and "cosmos" in rendered
 

@@ -39,7 +39,6 @@ ENTRY_KEYS = {
     "cycles",
     "total_latency",
     "ctr_miss_rate",
-    "path",
 }
 
 
@@ -57,21 +56,7 @@ def test_run_benchmark_payload_schema():
         assert entry["best_seconds"] > 0
         assert entry["accesses_per_sec"] > 0
         assert len(entry["runs_seconds"]) == 1
-        assert entry["path"] == "arrays"
     assert "accesses/sec" in format_report(payload)
-
-
-def test_run_benchmark_per_path_entries():
-    """Non-arrays paths get ``design@path`` keys and metric-identical riders."""
-    payload = run_benchmark(designs=("cosmos",), n=3000, repeats=1,
-                            serve=False, paths=("arrays", "batched"))
-    assert set(payload["results"]) == {"cosmos", "cosmos@batched"}
-    scalar = payload["results"]["cosmos"]
-    batched = payload["results"]["cosmos@batched"]
-    assert scalar["path"] == "arrays"
-    assert batched["path"] == "batched"
-    for key in ("accesses", "cycles", "total_latency", "ctr_miss_rate"):
-        assert scalar[key] == batched[key]
 
 
 def test_dram_microbench_entry():
@@ -117,18 +102,6 @@ def test_cli_writes_valid_report(tmp_path, capsys):
     assert set(loaded["results"]) == {"np"}
     assert loaded["serve_microbench"]["requests_per_sec"] > 0
     assert capsys.readouterr().out  # human summary printed alongside the JSON
-
-
-def test_cli_path_flag(tmp_path, capsys):
-    output = tmp_path / "BENCH_hotpath.json"
-    code = main(
-        ["--designs", "np", "--n", "2000", "--repeats", "1",
-         "--path", "arrays,batched", "--output", str(output)]
-    )
-    assert code == 0
-    loaded = json.loads(output.read_text())
-    assert set(loaded["results"]) == {"np", "np@batched"}
-    assert capsys.readouterr().out
 
 
 def test_default_designs_are_the_tracked_set():

@@ -233,20 +233,6 @@ def test_turnarounds_not_counted_at_issue_order():
     assert dram.stats.reads == 8 and dram.stats.writes == 8
 
 
-def test_decode_batch_matches_scalar_decode():
-    """decode_batch shares module-level numpy (no per-call import)."""
-    import repro.mem.dram as dram_mod
-
-    assert hasattr(dram_mod, "np")
-    dram = DramModel(num_channels=2, num_banks=4, row_size_bytes=512)
-    blocks = [0, 1, 57, 1 << 20, (1 << 24) + 3]
-    channels, banks, rows, columns = dram.decode_batch(blocks)
-    for i, block in enumerate(blocks):
-        assert (
-            int(channels[i]), int(banks[i]), int(rows[i]), int(columns[i])
-        ) == dram.decode(block)
-
-
 # ----------------------------------------------------------------------
 # Refresh
 # ----------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_manifest_v1_still_readable(tmp_path):
     assert report.total == 1
 
 
+def test_manifest_unknown_keys_are_ignored():
+    """Manifests carrying keys of retired options still load."""
+    report = RunReport.from_dict({
+        "manifest_version": 2, "jobs_requested": 2, "retired_option": "x",
+        "totals": {"jobs": 0},
+    })
+    assert report.jobs_requested == 2
+    assert "retired_option" not in report.to_dict()
+
+
 def test_manifest_future_version_rejected():
     with pytest.raises(ValueError):
         RunReport.from_dict({"manifest_version": 99})

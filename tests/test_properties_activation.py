@@ -8,9 +8,7 @@ Three laws, checked against a trivial reference model:
   request lands in a later window, and ``act_window_resets`` counts it.
 * **Pure function of the request stream** — replaying the same
   ``(block, is_write, now)`` sequence into a fresh model reproduces the
-  ledger and stats byte for byte; and the three simulation dispatch
-  paths (arrays / objects / batched), which issue the identical request
-  sequence, leave byte-identical DRAM stats behind.
+  ledger and stats byte for byte.
 """
 
 from hypothesis import given, settings
@@ -151,22 +149,3 @@ def test_dram_stats_dict_exposes_ledger_metrics():
     for key in ("activations", "act_window_resets", "max_row_activations"):
         assert key in payload
 
-
-def test_dram_stats_identical_across_dispatch_paths():
-    """arrays / objects / batched issue the same DRAM request sequence."""
-    from repro.sim.config import small_test_config
-    from repro.sim.simulator import Simulator, build_design
-    from repro.workloads.hammer import generate_hammer_trace
-
-    trace = generate_hammer_trace("hammer-double", num_cores=2, max_accesses=1500)
-    config = small_test_config(num_cores=2)
-    dumps = {}
-    ledgers = {}
-    for path in ("arrays", "objects", "batched"):
-        design = build_design("cosmos", config)
-        Simulator(design, config, "hammer-double").run(trace, path=path)
-        dumps[path] = design.engine.dram.stats.as_dict()
-        ledgers[path] = design.engine.dram.activation_counts()
-    assert dumps["arrays"] == dumps["objects"] == dumps["batched"]
-    assert ledgers["arrays"] == ledgers["objects"] == ledgers["batched"]
-    assert dumps["arrays"]["activations"] > 0

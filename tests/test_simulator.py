@@ -113,3 +113,11 @@ def test_normalization_helpers(tiny_config, dfs_trace):
     normalized = secure.normalized_to(np_result)
     assert 0.0 < normalized < 1.0  # secure memory costs performance
     assert np_result.speedup_over(secure) > 1.0
+
+
+def test_run_accepts_only_the_one_loop_name(tiny_config, dfs_trace):
+    simulator = Simulator(build_design("np", tiny_config), tiny_config)
+    for other in ("objects", "auto"):
+        with pytest.raises(ValueError):
+            simulator.run(dfs_trace, path=other)
+    assert simulator.run(dfs_trace, path="arrays").accesses == len(dfs_trace)

@@ -1,9 +1,19 @@
 """Unit tests for the trace container and helpers."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.mem.access import AccessType, MemoryAccess
-from repro.workloads.trace import ALLOC_ALIGN, Allocator, Trace, interleave, reads_and_writes
+from repro.workloads.trace import (
+    ALLOC_ALIGN,
+    Allocator,
+    Trace,
+    TraceArrays,
+    interleave,
+    reads_and_writes,
+)
 
 
 class TestAllocator:
@@ -88,3 +98,60 @@ def test_reads_and_writes_builder():
     assert accesses[0].type == AccessType.READ
     assert accesses[1].type == AccessType.WRITE
     assert all(access.core == 2 for access in accesses)
+
+
+# ---------------------------------------------------------------------------
+# TraceArrays.from_iter: how the simulator packs lists and generators
+
+
+def _accesses(n, seed=3):
+    rng = random.Random(seed)
+    return [
+        MemoryAccess(
+            (rng.randrange(4096) << 6) | rng.randrange(64),
+            AccessType.WRITE if rng.random() < 0.4 else AccessType.READ,
+            core=rng.randrange(2),
+        )
+        for _ in range(n)
+    ]
+
+
+def _assert_packs(arrays, accesses):
+    """Every packed element equals what ``MemoryAccess`` would carry."""
+    assert len(arrays) == len(accesses)
+    assert arrays.block_addresses.tolist() == [a.block_address for a in accesses]
+    assert arrays.is_write.tolist() == [a.is_write for a in accesses]
+    assert arrays.cores.tolist() == [a.core for a in accesses]
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 200_000])
+def test_from_iter_generator_matches_from_accesses(n):
+    accesses = _accesses(n)
+    # chunk=4096 forces multi-chunk assembly for the large case.
+    streamed = TraceArrays.from_iter(iter(accesses), chunk=4096)
+    packed = TraceArrays.from_accesses(accesses)
+    for field in ("addresses", "types", "cores"):
+        got = getattr(streamed, field)
+        want = getattr(packed, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    _assert_packs(streamed, accesses)
+
+
+def test_from_iter_sequence_shortcut():
+    accesses = _accesses(64)
+    packed = TraceArrays.from_iter(accesses)
+    assert np.array_equal(packed.addresses, TraceArrays.from_accesses(accesses).addresses)
+    _assert_packs(packed, accesses)
+
+
+def test_from_iter_chunk_smaller_than_trace():
+    """100 records in chunks of 7: fourteen full chunks and a remainder."""
+    accesses = _accesses(100, seed=5)
+    _assert_packs(TraceArrays.from_iter(iter(accesses), chunk=7), accesses)
+
+
+def test_from_iter_empty_generator():
+    packed = TraceArrays.from_iter(access for access in [])
+    _assert_packs(packed, [])
+    assert packed.addresses.dtype == TraceArrays.from_accesses([]).addresses.dtype

@@ -1,6 +1,6 @@
-"""Differential oracle: paths, schemes and conservation invariants.
+"""Differential oracle: schemes and conservation invariants.
 
-Covers the three cross-check flavours in :mod:`repro.verify.differential`
+Covers the two cross-check flavours in :mod:`repro.verify.differential`
 plus the reporting machinery itself (flatten / diff_dicts / first
 divergence), including deliberately-broken inputs so the oracle is known
 to *fail* when it should, not just pass on healthy runs.
@@ -18,13 +18,9 @@ from repro.verify import (
     Op,
     check_invariants,
     diff_functional,
-    diff_paths,
-    lockstep_path_pair,
-    lockstep_paths,
     run_with_invariants,
 )
 from repro.verify.differential import diff_dicts, flatten
-from repro.workloads.trace import TraceArrays
 
 SCHEMES = ("monolithic", "split", "morphctr")
 
@@ -83,39 +79,6 @@ def test_diff_dicts_honours_the_divergence_limit():
     left = {f"k{i}": i for i in range(40)}
     right = {f"k{i}": i + 1 for i in range(40)}
     assert len(diff_dicts(left, right, limit=5)) == 5
-
-
-# ----------------------------------------------------------------------
-# Array path vs object path
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("design", ["np", "morphctr", "cosmos", "synergy", "cosmos-synergy"])
-def test_array_and_object_paths_agree_byte_for_byte(design):
-    report = diff_paths(design, random_accesses(f"paths:{design}"), SimulationConfig())
-    assert report.matched, report.to_dict()
-    assert not report.divergences
-
-
-def test_lockstep_paths_agrees_access_by_access():
-    accesses = random_accesses("lockstep", count=200)
-    assert lockstep_paths("cosmos", accesses, SimulationConfig()) is None
-
-
-@pytest.mark.parametrize("design", ["np", "cosmos", "synergy"])
-def test_arrays_and_batched_paths_agree_byte_for_byte(design):
-    report = diff_paths(
-        design, random_accesses(f"batched:{design}"), SimulationConfig(),
-        path_pair=("arrays", "batched"), epoch=128,
-    )
-    assert report.matched, report.to_dict()
-    assert report.label == f"paths:{design}:arrays-vs-batched"
-
-
-def test_lockstep_path_pair_agrees_epoch_by_epoch():
-    accesses = random_accesses("lockstep-pair", count=500)
-    assert lockstep_path_pair(
-        "cosmos", TraceArrays.from_accesses(accesses), "arrays", "batched",
-        SimulationConfig(), epoch=64,
-    ) is None
 
 
 # ----------------------------------------------------------------------
