@@ -10,23 +10,22 @@ model ports or MSHRs — consistent with the trace-driven methodology in
 DESIGN.md.
 
 :meth:`Cache.access` and :meth:`Cache.fill` are the innermost frames of the
-whole simulator (every trace access walks one to four caches), so both are
-written allocation-free: the set mask is precomputed, victim selection runs
-over the live dict view instead of a copied list, and policy callbacks are
-invoked positionally.
+whole simulator (every trace access walks one to four caches).  Under the
+default :class:`LRUPolicy` they bypass the policy object: each set's dict
+is kept in recency order (a hit moves the line to the end, a fill appends),
+so the victim is the set's first line, and the evicted :class:`CacheLine`
+is recycled for the incoming block instead of allocating a new one.  Other
+policies are dispatched through their callbacks and get a fresh line per
+fill.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from operator import attrgetter
-
 from .access import BLOCK_SHIFT, BLOCK_SIZE
 from .replacement import CacheLine, LRUPolicy, ReplacementPolicy
 from .stats import CacheStats
-
-_BY_LRU_TICK = attrgetter("lru_tick")
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -86,10 +85,12 @@ class Cache:
     @policy.setter
     def policy(self, policy: ReplacementPolicy) -> None:
         self._policy = policy
-        # LRU fast path: the default policy's callbacks reduce to a tick
-        # store, so access()/fill() inline them instead of dispatching.
-        # Exact-type check — subclasses may override any hook.
-        self._lru = policy if type(policy) is LRUPolicy else None
+        # LRU fast path: access()/fill() keep each set's dict in recency
+        # order instead of dispatching to the policy's tick callbacks.
+        # Exact-type check — subclasses may override any hook.  The order
+        # is only recency order if the cache was LRU since its first fill,
+        # so swap policies before any access lands.
+        self._lru = type(policy) is LRUPolicy
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -117,24 +118,25 @@ class Cache:
         :meth:`fill`.
         """
         index = block_address & self._set_mask
-        line = self._sets[index].get(block_address)
-        if line is not None:
-            stats = self.stats
-            stats.hits += 1
-            if line.prefetched and not line.referenced:
-                stats.prefetch_useful += 1
-            line.referenced = True
-            if is_write:
-                line.dirty = True
-            lru = self._lru
-            if lru is not None:
-                lru._tick = tick = lru._tick + 1
-                line.lru_tick = tick
-            else:
-                self._policy.on_hit(index, line, block_address << BLOCK_SHIFT)
-            return True
-        self.stats.misses += 1
-        return False
+        target_set = self._sets[index]
+        lru = self._lru
+        # LRU pops the line so the re-insert below moves it to the end.
+        line = target_set.pop(block_address, None) if lru else target_set.get(block_address)
+        if line is None:
+            self.stats.misses += 1
+            return False
+        stats = self.stats
+        stats.hits += 1
+        if line.prefetched and not line.referenced:
+            stats.prefetch_useful += 1
+        line.referenced = True
+        if is_write:
+            line.dirty = True
+        if lru:
+            target_set[block_address] = line
+        else:
+            self._policy.on_hit(index, line, block_address << BLOCK_SHIFT)
+        return True
 
     def access_and_fill(self, block_address: int, is_write: bool = False) -> bool:
         """Demand access that fills the block on a miss; returns True on hit."""
@@ -158,35 +160,45 @@ class Cache:
             return None
         lru = self._lru
         evicted_address: Optional[int] = None
-        if len(target_set) >= self.assoc:
-            # The live dict view is handed to the policy directly; policies
-            # may iterate it repeatedly but must not mutate residency.
+        if len(target_set) < self.assoc:
+            line = CacheLine(block_address)
+        else:
             # The eviction is inlined (see _evict_line) — this is the
             # second-hottest frame in the simulator.
-            if lru is not None:
-                victim = min(target_set.values(), key=_BY_LRU_TICK)
+            if lru:
+                evicted_address = next(iter(target_set))
+                line = target_set.pop(evicted_address)
             else:
-                victim = self._policy.victim(index, target_set.values())
-            evicted_address = victim.tag
-            del target_set[evicted_address]
+                # The live dict view is handed to the policy directly;
+                # policies may iterate it repeatedly but must not mutate
+                # residency.
+                line = self._policy.victim(index, target_set.values())
+                evicted_address = line.tag
+                del target_set[evicted_address]
             stats = self.stats
             stats.evictions += 1
-            if victim.prefetched and not victim.referenced:
+            if line.prefetched and not line.referenced:
                 stats.prefetch_evicted_unused += 1
-            if victim.dirty:
+            if line.dirty:
                 stats.writebacks += 1
                 if self.writeback_sink is not None:
                     self.writeback_sink(evicted_address)
-            if lru is None:
-                self._policy.on_evict(index, victim)
-        line = CacheLine(block_address)
+            if lru:
+                # Recycle the victim for the incoming block.  Reset what a
+                # resident line can change: the flags and the locality tags
+                # CtrCache writes.  Nothing writes the other slots while
+                # the cache is LRU, so they still hold CacheLine's defaults.
+                line.tag = block_address
+                line.referenced = False
+                line.locality_flag = 1
+                line.locality_score = 0
+            else:
+                self._policy.on_evict(index, line)
+                line = CacheLine(block_address)
         line.dirty = dirty
         line.prefetched = prefetched
         target_set[block_address] = line
-        if lru is not None:
-            lru._tick = tick = lru._tick + 1
-            line.lru_tick = tick
-        else:
+        if not lru:
             self._policy.on_insert(index, line, block_address << BLOCK_SHIFT)
         return evicted_address
 
@@ -221,7 +233,11 @@ class Cache:
         return self._sets[block_address & self._set_mask].get(block_address)
 
     def flush(self) -> int:
-        """Evict every resident line (issuing writebacks); returns count."""
+        """Evict every resident line (issuing writebacks); returns count.
+
+        Sets are flushed in index order, each in its dict order (recency
+        order under LRU, least recent first).
+        """
         flushed = 0
         for index, target_set in enumerate(self._sets):
             for line in list(target_set.values()):
@@ -243,14 +259,16 @@ class Cache:
         return self.num_sets * self.assoc
 
     def resident_blocks(self) -> List[int]:
-        """All resident block addresses (order unspecified)."""
+        """All resident block addresses, set by set in dict order (recency
+        order under LRU, least recent first)."""
         blocks: List[int] = []
         for target_set in self._sets:
             blocks.extend(target_set.keys())
         return blocks
 
     def set_contents(self, index: int) -> Tuple[CacheLine, ...]:
-        """Lines currently resident in set ``index``."""
+        """Lines currently resident in set ``index``, in dict order (recency
+        order under LRU, least recent first)."""
         return tuple(self._sets[index].values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -84,16 +84,18 @@ _BY_ETA = attrgetter("eta")
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used via a global monotonic tick."""
+    """Least-recently-used via a global monotonic tick.
+
+    :class:`~repro.mem.cache.Cache` never calls ``on_insert``, ``on_hit``
+    or ``victim`` for an exact ``LRUPolicy``: it keeps each set in recency
+    order instead.  Subclasses go through the hooks, which keeps this tick
+    version as the reference the recency order is tested against.
+    """
 
     name = "lru"
 
     def __init__(self) -> None:
         self._tick = 0
-
-    def _touch(self, line: CacheLine) -> None:
-        self._tick += 1
-        line.lru_tick = self._tick
 
     def on_insert(self, set_index: int, line: CacheLine, context: Optional[int] = None) -> None:
         self._tick += 1

@@ -12,7 +12,7 @@ log2(537M/128) ~ 22 MT nodes" (Sec. 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 #: Default Merkle-tree arity.  The paper's traffic arithmetic (Sec. 3.1:
 #: "verifying a single CTR requires access to the log2(537M/128) ~ 22 MT
@@ -42,8 +42,8 @@ class SecureLayout:
             raise ValueError("blocks_per_ctr must be positive")
         if self.mt_arity < 2:
             raise ValueError("mt_arity must be >= 2")
-        # Precompute per-level node counts and region offsets: mt_path() is
-        # on the simulator's hot path (one traversal per CTR cache miss).
+        # Precompute per-level node counts and DRAM base addresses: the MT
+        # walk is on the simulator's hot path (one per CTR cache miss).
         counts: List[int] = []
         nodes = self.ctr_blocks
         while nodes > 1:
@@ -51,13 +51,14 @@ class SecureLayout:
             counts.append(max(nodes, 1))
         if not counts:
             counts.append(1)
-        offsets: List[int] = []
-        running = 0
+        bases: List[int] = []
+        running = self.mt_region_base
         for count in counts:
-            offsets.append(running)
+            bases.append(running)
             running += count
         object.__setattr__(self, "_level_counts", tuple(counts))
-        object.__setattr__(self, "_level_offsets", tuple(offsets))
+        object.__setattr__(self, "_level_bases", tuple(bases))
+        object.__setattr__(self, "_fetched_level_bases", tuple(bases[:-1]))
 
     # ------------------------------------------------------------------
     # Region sizes
@@ -118,7 +119,23 @@ class SecureLayout:
         """DRAM block address of an MT node at (level, index)."""
         if level < 0 or level >= self.mt_levels:
             raise ValueError(f"level {level} out of range [0, {self.mt_levels})")
-        return self.mt_region_base + self._level_offsets[level] + node_index
+        if not 0 <= node_index < self._level_counts[level]:
+            raise ValueError(
+                f"node_index {node_index} out of range [0, {self._level_counts[level]})"
+                f" at level {level}"
+            )
+        return self._level_bases[level] + node_index
+
+    @property
+    def mt_fetched_level_bases(self) -> Tuple[int, ...]:
+        """DRAM base address of each MT level a walk may fetch, leaf-parent
+        level first.
+
+        The root (last level) is excluded: it is pinned on-chip and never
+        fetched from DRAM (paper Sec. 2.1).  The node at level ``k`` above
+        counter line ``c`` sits at ``bases[k] + c // mt_arity ** (k + 1)``.
+        """
+        return self._fetched_level_bases
 
     def mt_path(self, ctr_index: int) -> List[int]:
         """Block addresses of the MT nodes from leaf-parent to root.
@@ -130,11 +147,9 @@ class SecureLayout:
             raise ValueError(f"ctr_index {ctr_index} out of range [0, {self.ctr_blocks})")
         path: List[int] = []
         node = ctr_index
-        for level in range(self.mt_levels):
+        for base in self.mt_fetched_level_bases:
             node //= self.mt_arity
-            if level == self.mt_levels - 1:
-                break  # root stays on-chip
-            path.append(self.mt_node_address(level, node))
+            path.append(base + node)
         return path
 
     @classmethod

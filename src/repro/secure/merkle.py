@@ -268,21 +268,33 @@ class IntegrityTreeModel:
         Walks the MT path leaf-parent to root, fetching nodes from DRAM
         until one hits in the MT-node cache (that node was already verified
         against the root, so the walk can stop).  Fetched nodes are
-        installed in the cache.
+        installed in the cache.  Node addresses are computed level by level
+        as the walk climbs (the same placement as
+        :meth:`SecureLayout.mt_path`), so a walk that stops early never
+        computes the rest of the path.
 
         Returns:
             Tuple of (nodes fetched from DRAM, their block addresses).
         """
-        self.stats.traversals += 1
+        layout = self.layout
+        if not 0 <= ctr_index < layout.ctr_blocks:
+            raise ValueError(f"ctr_index {ctr_index} out of range [0, {layout.ctr_blocks})")
+        stats = self.stats
+        stats.traversals += 1
+        node_cache = self.node_cache
+        arity = layout.mt_arity
+        node = ctr_index
         fetched: List[int] = []
-        for node_address in self.layout.mt_path(ctr_index):
-            if self.node_cache is not None and self.node_cache.access(node_address):
-                self.stats.cache_hits += 1
-                break
+        for base in layout.mt_fetched_level_bases:
+            node //= arity
+            node_address = base + node
+            if node_cache is not None:
+                if node_cache.access(node_address):
+                    stats.cache_hits += 1
+                    break
+                node_cache.fill(node_address)
             fetched.append(node_address)
-            if self.node_cache is not None:
-                self.node_cache.fill(node_address)
         else:
-            self.stats.root_reached += 1
-        self.stats.nodes_fetched += len(fetched)
+            stats.root_reached += 1
+        stats.nodes_fetched += len(fetched)
         return len(fetched), fetched

@@ -67,6 +67,22 @@ def test_lru_evicts_least_recent():
     assert evicted == 1
 
 
+def test_recycled_victim_drops_locality_tags():
+    """Under LRU the victim's line object is reused for the incoming block;
+    the locality tags CtrCache wrote on it must not carry over."""
+    cache = Cache(2 * 64, 2)  # 1 set, 2 ways
+    cache.fill(0, dirty=True)
+    victim = cache.get_line(0)
+    victim.locality_flag, victim.locality_score = 0, 200
+    cache.access(0)
+    cache.fill(1)
+    cache.fill(2)  # evicts 0
+    line = cache.get_line(2)
+    assert line is victim
+    assert (line.tag, line.dirty, line.referenced) == (2, False, False)
+    assert (line.locality_flag, line.locality_score) == (1, 0)
+
+
 def test_dirty_eviction_triggers_writeback_sink():
     written = []
     cache = Cache(2 * 64, 2, writeback_sink=written.append)

@@ -93,6 +93,27 @@ def test_mt_node_address_bounds():
     layout = SecureLayout(data_blocks=1 << 12)
     with pytest.raises(ValueError):
         layout.mt_node_address(layout.mt_levels, 0)
+    # An index past its level would alias the next level's first node; a
+    # negative one would alias the end of the MAC region.
+    assert layout.mt_nodes_at_level(0) == 16
+    assert layout.mt_node_address(0, 15) + 1 == layout.mt_node_address(1, 0)
+    with pytest.raises(ValueError):
+        layout.mt_node_address(0, 16)
+    with pytest.raises(ValueError):
+        layout.mt_node_address(0, -1)
+    with pytest.raises(ValueError):
+        layout.mt_node_address(layout.mt_levels - 1, 1)  # the root level has one node
+
+
+@pytest.mark.parametrize("arity", [2, 8])
+def test_mt_path_matches_mt_node_address(arity):
+    layout = SecureLayout(data_blocks=1 << 18, mt_arity=arity)
+    for ctr in (0, 1, arity, layout.ctr_blocks // 3, layout.ctr_blocks - 1):
+        expected = [
+            layout.mt_node_address(level, ctr // arity ** (level + 1))
+            for level in range(layout.mt_levels - 1)
+        ]
+        assert layout.mt_path(ctr) == expected
 
 
 def test_mt_path_bounds():

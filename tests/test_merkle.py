@@ -1,5 +1,7 @@
 """Unit tests for the Merkle tree (functional) and the traversal model."""
 
+import random
+
 import pytest
 
 from repro.mem.cache import Cache
@@ -112,6 +114,30 @@ class TestTraversalModel:
             for ctr in range(16):
                 model.traverse(ctr)
         assert model.stats.average_fetches < len(layout.mt_path(0))
+
+    @pytest.mark.parametrize("arity", [2, 8])
+    @pytest.mark.parametrize("cache_bytes", [0, 4096])
+    def test_walk_fetches_a_prefix_of_mt_path(self, arity, cache_bytes):
+        layout = SecureLayout(data_blocks=1 << 20, blocks_per_ctr=128, mt_arity=arity)
+        model = IntegrityTreeModel(layout, cache_size_bytes=cache_bytes)
+        rng = random.Random(arity)
+        ctrs = [0, layout.ctr_blocks - 1] + [rng.randrange(layout.ctr_blocks) for _ in range(300)]
+        stats = model.stats
+        stopped = 0
+        for ctr in ctrs:
+            hits, roots = stats.cache_hits, stats.root_reached
+            fetched, addresses = model.traverse(ctr)
+            path = layout.mt_path(ctr)
+            assert addresses == path[:fetched]
+            early = fetched < len(path)
+            stopped += early
+            assert stats.cache_hits - hits == early
+            assert stats.root_reached - roots == (not early)
+        assert stats.traversals == len(ctrs)
+        assert (stopped > 0) == (cache_bytes > 0)  # only the node cache cuts walks short
+        for bad in (-1, layout.ctr_blocks):
+            with pytest.raises(ValueError):
+                model.traverse(bad)
 
     def test_no_cache_always_counts_full_path(self):
         layout = self.layout()

@@ -7,7 +7,7 @@ from repro.core.cet import CtrEvaluationTable
 from repro.core.hashing import hash_block, splitmix64
 from repro.core.rl import Q_MAX, Q_MIN, QTable
 from repro.mem.cache import Cache
-from repro.mem.replacement import make_policy
+from repro.mem.replacement import CacheLine, LRUPolicy, make_policy
 from repro.secure.counters import MorphCtrCounters, SplitCounters
 from repro.secure.layout import SecureLayout
 from repro.secure.merkle import MerkleTree
@@ -42,6 +42,51 @@ def test_cache_resident_block_always_hits(blocks):
     for block in blocks:
         cache.fill(block)
         assert cache.lookup(block)  # immediately after fill it is resident
+
+
+class _TickLRU(LRUPolicy):
+    """Not the exact LRUPolicy type, so Cache runs its tick hooks."""
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["access", "fill", "access_and_fill", "invalidate"]),
+        st.integers(min_value=0, max_value=15),  # 8 blocks per 4-way set
+        st.booleans(),  # is_write / dirty
+        st.booleans(),  # prefetched (fill only)
+    ),
+    min_size=40,  # long enough that nearly every example evicts
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_CACHE_OPS)
+def test_recency_ordered_lru_matches_tick_reference(ops):
+    fast_writebacks, ref_writebacks = [], []
+    fast = Cache(2 * 4 * 64, 4, policy=LRUPolicy(), writeback_sink=fast_writebacks.append)
+    ref = Cache(2 * 4 * 64, 4, policy=_TickLRU(), writeback_sink=ref_writebacks.append)
+    for op, block, write, prefetched in ops:
+        if op == "fill":
+            results = [cache.fill(block, dirty=write, prefetched=prefetched)
+                       for cache in (fast, ref)]
+        elif op == "invalidate":
+            results = [cache.invalidate(block) for cache in (fast, ref)]
+        else:
+            results = [getattr(cache, op)(block, write) for cache in (fast, ref)]
+        assert results[0] == results[1], op
+    assert fast_writebacks == ref_writebacks
+    assert fast.stats == ref.stats
+    assert sorted(fast.resident_blocks()) == sorted(ref.resident_blocks())
+    flags = ("dirty", "prefetched", "referenced")
+    for block in fast.resident_blocks():
+        line, ref_line = fast.get_line(block), ref.get_line(block)
+        assert [getattr(line, slot) for slot in flags] == [getattr(ref_line, slot) for slot in flags]
+        # A recycled line must look freshly allocated in every other slot.
+        fresh = CacheLine(block)
+        for slot in CacheLine.__slots__:
+            if slot not in flags:
+                assert getattr(line, slot) == getattr(fresh, slot), slot
 
 
 # ----------------------------------------------------------------------
