@@ -109,18 +109,8 @@ class JobSpec:
     seed: Optional[int] = None
 
     def content_hash(self) -> str:
-        """Stable SHA-256 identifying this cell's inputs."""
-        payload = {
-            "spec_version": SPEC_VERSION,
-            "design": self.design,
-            "workload": self.workload,
-            "num_cores": self.num_cores,
-            "trace_length": self.trace_length,
-            "graph_scale": self.graph_scale,
-            "seed": self.seed,
-            "config": canonical_config_dict(self.config),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Stable SHA-256 identifying this cell's inputs (its wire form)."""
+        blob = json.dumps(self.to_wire(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def describe(self) -> Dict[str, object]:

@@ -6,13 +6,16 @@ and returns ``{content_hash: SimulationResult}``:
 1. duplicate cells (same content hash) collapse to one job;
 2. the :class:`~repro.exec.cache.ResultCache` (when attached) answers
    hashes it has seen before — a warm sweep does near-zero simulation;
-3. remaining jobs run on a ``multiprocessing`` pool (``jobs > 1``) or
-   inline in the parent process (``jobs == 1``, or when pool creation
-   fails — e.g. a sandbox forbids subprocesses — in which case the runner
-   degrades gracefully to serial execution);
-4. a job that raises is resubmitted up to ``retries`` times; a job that
-   exceeds ``timeout`` seconds is abandoned, its (possibly hung) worker
-   pool is rebuilt, and the job is retried like a failure;
+3. remaining jobs run on the shared :class:`~repro.exec.pool.WorkerPool`
+   (``jobs > 1``) or inline in the parent process (``jobs == 1``, or when
+   the platform refuses a process pool — e.g. a sandbox forbids
+   subprocesses — in which case the runner degrades gracefully to serial
+   execution);
+4. a job that raises, or whose worker crashes, is resubmitted up to
+   ``retries`` times; a job that exceeds ``timeout`` seconds is abandoned,
+   its (possibly hung) worker pool is killed, and the job is retried like
+   a failure, while the jobs killed beside it re-run without losing an
+   attempt;
 5. progress is surfaced on a live stderr ticker and collected into a
    :class:`~repro.exec.telemetry.RunReport`, optionally persisted as a
    JSON run manifest.
@@ -24,10 +27,11 @@ produce metric-identical results — the property the determinism test in
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,12 +39,10 @@ from .. import obs
 from ..sim.results import SimulationResult
 from .cache import ResultCache
 from .jobs import JobSpec
+from .pool import Generation, PoolUnavailable, WorkerPool
 from .scheduler import dedupe_specs
 from .telemetry import JobRecord, ProgressTicker, RunReport
 from .worker import run_job
-
-#: Seconds between scheduler polls while jobs are in flight.
-_POLL_INTERVAL = 0.02
 
 
 class ExecutionError(RuntimeError):
@@ -244,17 +246,6 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     # Pool execution
     # ------------------------------------------------------------------
-    def _make_pool(self, workers: int):
-        """A worker pool, or ``None`` when the platform cannot provide one."""
-        try:
-            if "fork" in multiprocessing.get_all_start_methods():
-                ctx = multiprocessing.get_context("fork")
-            else:  # pragma: no cover - non-POSIX platforms
-                ctx = multiprocessing.get_context()
-            return ctx.Pool(processes=workers)
-        except (OSError, ValueError, ImportError):  # pragma: no cover - sandboxed
-            return None
-
     def _run_pool(
         self,
         misses: List[Tuple[str, JobSpec]],
@@ -263,11 +254,8 @@ class ParallelRunner:
         ticker: ProgressTicker,
         total: int,
     ) -> Optional[Dict[str, SimulationResult]]:
-        """Run ``misses`` on a pool; ``None`` means "fall back to serial"."""
-        pool = self._make_pool(workers)
-        if pool is None:
-            return None
-        report.workers, report.mode = workers, "pool"
+        """Run ``misses`` on a process pool; ``None`` means "fall back to serial"."""
+        pool = WorkerPool(workers)
         results: Dict[str, SimulationResult] = {}
         records: Dict[str, JobRecord] = {
             job_hash: JobRecord(job_hash=job_hash, design=spec.design,
@@ -275,15 +263,25 @@ class ParallelRunner:
             for job_hash, spec in misses
         }
         queue = deque((job_hash, spec, 1) for job_hash, spec in misses)
-        inflight: Dict[str, Tuple[JobSpec, int, object, float]] = {}
+        inflight: Dict[Future, Tuple[str, JobSpec, int, Generation, float]] = {}
+        refused = False
         try:
             while queue or inflight:
-                while queue and len(inflight) < workers and pool is not None:
-                    job_hash, spec, attempt = queue.popleft()
+                while queue and len(inflight) < workers and not refused:
+                    job_hash, spec, attempt = queue[0]
+                    try:
+                        future, generation = pool.submit(self.fn, spec)
+                    except PoolUnavailable:
+                        if report.mode != "pool":
+                            return None  # no pool on this platform at all
+                        refused = True
+                        break
+                    queue.popleft()
+                    report.workers, report.mode = workers, "pool"
                     records[job_hash].attempts = attempt
-                    async_result = pool.apply_async(self.fn, (spec,))
-                    inflight[job_hash] = (spec, attempt, async_result, time.monotonic())
-                if pool is None and not inflight:
+                    inflight[future] = (job_hash, spec, attempt, generation,
+                                        time.monotonic())
+                if refused and not inflight:
                     # The pool died and could not be rebuilt: finish serially.
                     remaining = [(job_hash, spec) for job_hash, spec, _ in queue]
                     queue.clear()
@@ -293,53 +291,55 @@ class ParallelRunner:
                     self._run_serial(remaining, report, ticker, results, total)
                     break
 
-                progressed = False
+                wait_s = None
+                if self.timeout is not None:
+                    oldest = min(entry[4] for entry in inflight.values())
+                    wait_s = max(0.0, oldest + self.timeout - time.monotonic())
+                done, _ = wait(inflight, timeout=wait_s, return_when=FIRST_COMPLETED)
                 now = time.monotonic()
-                for job_hash in list(inflight):
-                    spec, attempt, async_result, job_started = inflight[job_hash]
+                for future in done:
+                    job_hash, spec, attempt, generation, job_started = inflight.pop(future)
                     record = records[job_hash]
-                    if async_result.ready():
-                        del inflight[job_hash]
-                        progressed = True
-                        record.wall_time += time.monotonic() - job_started
-                        try:
-                            result = async_result.get()
-                        except Exception as exc:  # noqa: BLE001 - retried below
-                            record.error = f"{type(exc).__name__}: {exc}"
-                            if attempt <= self.retries:
-                                queue.append((job_hash, spec, attempt + 1))
+                    record.wall_time += now - job_started
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool as exc:
+                        if not pool.crashed(generation):
+                            # Killed because another job timed out: re-run free.
+                            queue.appendleft((job_hash, spec, attempt))
                             continue
+                        record.error = f"worker crashed: {exc}"
+                    except Exception as exc:  # noqa: BLE001 - retried below
+                        record.error = f"{type(exc).__name__}: {exc}"
+                    else:
                         record.status, record.error = "ok", None
                         results[job_hash] = result
                         if self.cache is not None:
                             self.cache.put(spec, result, job_hash=job_hash)
-                    elif self.timeout is not None and now - job_started > self.timeout:
-                        # The worker may be wedged: drop the job, requeue the
-                        # rest, and rebuild the pool to reclaim the process.
-                        del inflight[job_hash]
-                        progressed = True
-                        record.wall_time += time.monotonic() - job_started
-                        record.error = f"timeout after {self.timeout:.1f}s"
-                        record.status = "timeout"
-                        if attempt <= self.retries:
-                            record.status = "failed"
-                            queue.append((job_hash, spec, attempt + 1))
-                        for other_hash in list(inflight):
-                            other_spec, other_attempt, _, _ = inflight.pop(other_hash)
-                            queue.appendleft((other_hash, other_spec, other_attempt))
-                        pool.terminate()
-                        pool.join()
-                        pool = self._make_pool(workers)
-                        break
+                        continue
+                    if attempt <= self.retries:
+                        queue.append((job_hash, spec, attempt + 1))
 
-                done = total - len(queue) - len(inflight)
-                ticker.update(done, report.cache_hits, len(inflight))
-                if not progressed:
-                    time.sleep(_POLL_INTERVAL)
+                expired = [future for future, entry in inflight.items()
+                           if self.timeout is not None
+                           and now - entry[4] > self.timeout]
+                for future in expired:
+                    # The worker may be wedged: kill its pool to reclaim it.
+                    # The jobs beside it come back as killed and re-run free.
+                    job_hash, spec, attempt, generation, job_started = inflight.pop(future)
+                    record = records[job_hash]
+                    record.wall_time += now - job_started
+                    record.error = f"timeout after {self.timeout:.1f}s"
+                    record.status = "timeout"
+                    if attempt <= self.retries:
+                        record.status = "failed"
+                        queue.append((job_hash, spec, attempt + 1))
+                    pool.kill(generation)
+
+                done_count = total - len(queue) - len(inflight)
+                ticker.update(done_count, report.cache_hits, len(inflight))
         finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+            pool.close()
         for job_hash, record in records.items():
             if record.status == "failed" and record.error is None:
                 record.error = "not executed"

@@ -48,7 +48,6 @@ from .spans import (
     recording,
     span,
 )
-from .stream import TelemetryHub, active_hub, install_hub
 from .timeseries import SimSampler, TimeSeries, sample_interval
 from .tracectx import TRACE_ENV, TraceContext, new_run_id, propagated
 from .tracectx import current as current_context
@@ -110,14 +109,13 @@ def registry():
 
 def reset() -> None:
     """Return to a pristine state (tests): env-controlled, empty registry,
-    no installed span recorder, no trace context, no telemetry hub."""
+    no installed span recorder, no trace context."""
     from . import tracectx
 
     set_enabled(None)
     _REGISTRY.clear()
     install_recorder(None)
     tracectx.reset()
-    install_hub(None)
 
 
 __all__ = [
@@ -133,16 +131,13 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TRACE_ENV",
-    "TelemetryHub",
     "TimeSeries",
     "TraceContext",
     "WALL_TIME_BUCKETS_S",
-    "active_hub",
     "active_recorder",
     "current_context",
     "enabled",
     "get_logger",
-    "install_hub",
     "install_recorder",
     "load_jsonl",
     "new_run_id",

@@ -13,8 +13,6 @@ Subcommands:
 * ``merge MANIFEST`` — stitch a run manifest's orchestrator spans and its
   jobs' per-process span trees into one run-level Chrome trace
   (``MANIFEST`` may be ``latest``);
-* ``tail HOST[:PORT]`` — subscribe to a running experiment server's
-  telemetry stream and render windows live;
 * ``bench-trend`` — compare the newest ``BENCH_history.jsonl`` entry
   against the median of recent comparable runs and flag drift.
 
@@ -203,70 +201,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_window(frame: dict) -> None:
-    """Render one stream ``window`` frame as a compact text block."""
-    print(f"[{frame.get('seq', '?')}] +{frame.get('at_s', 0.0):.2f}s"
-          f"  run={frame.get('run_id', '?')}")
-    metrics = frame.get("metrics") or {}
-    if metrics:
-        rendered = " ".join(
-            f"{name}={metrics[name]:.6g}" for name in sorted(metrics))
-        print(f"  metrics: {rendered}")
-    obs_metrics = frame.get("obs_metrics") or {}
-    if obs_metrics:
-        rendered = " ".join(
-            f"{name}={obs_metrics[name]:.6g}" for name in sorted(obs_metrics))
-        print(f"  obs: {rendered}")
-    for row in frame.get("samples") or []:
-        values = row.get("values") or {}
-        rendered = " ".join(
-            f"{name}={values[name]:.4g}" if isinstance(values[name], float)
-            else f"{name}={values[name]}"
-            for name in sorted(values))
-        print(f"  sample {row.get('design', '?')}/{row.get('workload', '?')}"
-              f" at={row.get('at', '?')} {rendered}")
-    for event in frame.get("events") or []:
-        extras = " ".join(f"{k}={v}" for k, v in sorted(event.items())
-                          if k not in ("kind", "at"))
-        print(f"  event {event.get('kind', '?')} at={event.get('at', '?')}"
-              f" {extras}".rstrip())
-    drops = frame.get("drops") or {}
-    print(f"  drops: windows={drops.get('windows_dropped', 0)}"
-          f" samples_lost={drops.get('samples_lost', 0)}"
-          f" events_lost={drops.get('events_lost', 0)}")
-
-
-def _cmd_tail(args: argparse.Namespace) -> int:
-    from ..serve.client import ServeClient, ServeError
-    from ..serve.protocol import parse_address
-
-    try:
-        host, port = parse_address(args.address)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    client = ServeClient(host=host, port=port,
-                         timeout=max(10.0, 3.0 * args.interval))
-    try:
-        client.connect()
-    except OSError as exc:
-        print(f"cannot connect to {host}:{port}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        for frame in client.tail(interval=args.interval,
-                                 max_windows=args.windows):
-            _print_window(frame)
-            sys.stdout.flush()
-    except KeyboardInterrupt:
-        pass
-    except (ServeError, ConnectionError, OSError) as exc:
-        print(f"stream ended: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        client.close()
-    return 0
-
-
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
     from ..bench.history import (
         HISTORY_FILENAME,
@@ -323,17 +257,6 @@ def add_obs_parser(sub: argparse._SubParsersAction) -> None:
         "--output", default=None, metavar="FILE",
         help="trace output path (default: next to the manifest)")
     merge.set_defaults(func=_cmd_merge)
-
-    tail = obs_sub.add_parser(
-        "tail", help="stream live telemetry from an experiment server")
-    tail.add_argument("address", help="server address as HOST[:PORT]")
-    tail.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="seconds between telemetry windows (default: 1.0)")
-    tail.add_argument(
-        "--windows", type=int, default=None, metavar="N",
-        help="stop after N windows (default: stream until interrupted)")
-    tail.set_defaults(func=_cmd_tail)
 
     trend = obs_sub.add_parser(
         "bench-trend", help="flag throughput drift in the benchmark history")

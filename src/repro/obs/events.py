@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 #: Default ring capacity.
 DEFAULT_CAPACITY = 256
@@ -20,8 +20,7 @@ DEFAULT_CAPACITY = 256
 class EventRing:
     """Fixed-capacity buffer of structured events."""
 
-    __slots__ = ("capacity", "_ring", "total_recorded", "counts_by_kind",
-                 "on_record")
+    __slots__ = ("capacity", "_ring", "total_recorded", "counts_by_kind")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
@@ -30,10 +29,6 @@ class EventRing:
         self._ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
         self.total_recorded = 0
         self.counts_by_kind: Dict[str, int] = {}
-        #: Optional mirror callback — the serve telemetry hub attaches one
-        #: so rare events also reach live stream subscribers.  ``None``
-        #: (the default) costs a single falsy check per recorded event.
-        self.on_record: Optional[Callable[[Dict[str, object]], None]] = None
 
     def record(self, kind: str, at: Optional[int] = None, **fields: object) -> None:
         """Append one event.
@@ -51,8 +46,6 @@ class EventRing:
         self._ring.append(event)
         self.total_recorded += 1
         self.counts_by_kind[kind] = self.counts_by_kind.get(kind, 0) + 1
-        if self.on_record is not None:
-            self.on_record(event)
 
     @property
     def dropped(self) -> int:

@@ -208,22 +208,6 @@ class SimSampler:
         self._prev: Dict[str, int] = self._snapshot()
         self._prev_good: Optional[bool] = None
         self._last_at = -1
-        # Live streaming: when a serve telemetry hub is installed in this
-        # process, windows and ring events mirror into it as they happen.
-        # active_hub() is None everywhere else, so plain runs pay nothing.
-        from .stream import active_hub
-
-        self._hub = active_hub()
-        if self._hub is not None:
-            hub, design_name, workload = self._hub, design.name, simulator.workload
-
-            def _mirror(event: Dict[str, object]) -> None:
-                enriched = dict(event)
-                enriched.setdefault("design", design_name)
-                enriched.setdefault("workload", workload)
-                hub.publish_event(enriched)
-
-            self.events.on_record = _mirror
 
     def _snapshot(self) -> Dict[str, int]:
         counters = self.simulator.design.obs_counters()
@@ -254,10 +238,6 @@ class SimSampler:
             except Exception:  # pragma: no cover - probes must never kill a run
                 values[name] = math.nan
         self.series.append(done, values)
-        if self._hub is not None:
-            self._hub.publish_sample(
-                self.series.meta.get("design", "?"),
-                self.series.meta.get("workload", "?"), done, values)
         self._detect_events(done, current, prev, values)
 
     def finish(self, done: int) -> None:

@@ -13,9 +13,9 @@ Propagation works through **two redundant channels** so every executor
 shape is covered:
 
 * a module-level global — inherited by ``fork``-start worker processes
-  (both the runner's ``multiprocessing.Pool`` and the server's
-  ``ProcessPoolExecutor`` fork *after* the context is activated) and
-  trivially shared with thread executors;
+  (the :class:`~repro.exec.pool.WorkerPool` that the runner and the
+  server share forks *after* the context is activated) and trivially
+  shared with thread executors;
 * the ``REPRO_TRACE_CTX`` environment variable (JSON) — survives ``spawn``
   starts and lets externally launched helpers join a run.
 

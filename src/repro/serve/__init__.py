@@ -1,8 +1,10 @@
 """``repro.serve`` — the experiment service over the result cache.
 
 A long-running asyncio TCP server (:mod:`repro.serve.server`) that
-shards design×workload×seed matrices across worker processes, dedupes
-in-flight work, answers cache hits directly from the content-addressed
+shards design×workload×seed matrices across the worker processes of the
+process pool it shares with the batch runner
+(:class:`~repro.exec.pool.WorkerPool`), dedupes in-flight work, answers
+cache hits directly from the content-addressed
 :class:`~repro.exec.cache.ResultCache`, and streams per-job progress to
 clients over a line-delimited JSON protocol (:mod:`repro.serve.protocol`).
 The blocking client (:mod:`repro.serve.client`) reassembles results and
@@ -20,7 +22,6 @@ from .protocol import (
     DEFAULT_PORT,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameError,
     decode_frame,
     encode_frame,
@@ -29,8 +30,6 @@ from .protocol import (
     ping_frame,
     stats_frame,
     submit_frame,
-    subscribe_frame,
-    unsubscribe_frame,
 )
 from .server import DEFAULT_QUEUE_LIMIT, ExperimentServer, ServerThread
 
@@ -42,7 +41,6 @@ __all__ = [
     "JobsFailed",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "ServeClient",
     "ServeError",
     "ServeUnavailable",
@@ -54,6 +52,4 @@ __all__ = [
     "ping_frame",
     "stats_frame",
     "submit_frame",
-    "subscribe_frame",
-    "unsubscribe_frame",
 ]

@@ -32,7 +32,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         timeout=args.timeout,
         retries=args.retries,
-        executor=args.executor,
         host=args.host,
         port=args.port,
     )
@@ -150,8 +149,6 @@ def add_serve_parser(sub: "argparse._SubParsersAction") -> None:
                        help="per-job wall-clock limit")
     serve.add_argument("--retries", type=int, default=1, metavar="N",
                        help="per-job retries after failure/timeout")
-    serve.add_argument("--executor", choices=("auto", "process", "thread"),
-                       default="auto", help="worker pool kind")
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without the on-disk result cache")
     serve.add_argument("--stats-dir", default=None, metavar="DIR",

@@ -34,8 +34,6 @@ from .protocol import (
     ping_frame,
     stats_frame,
     submit_frame,
-    subscribe_frame,
-    unsubscribe_frame,
 )
 
 log = get_logger("serve.client")
@@ -162,54 +160,6 @@ class ServeClient:
         if frame.get("type") != "stats":
             raise ServeError(f"expected stats frame, got {frame.get('type')!r}")
         return frame["stats"]  # type: ignore[return-value]
-
-    def tail(self, interval: float = 1.0, max_windows: Optional[int] = None,
-             max_queue: Optional[int] = None):
-        """Subscribe to the server's telemetry stream (protocol v2).
-
-        Yields ``window`` frame dictionaries as they arrive: metrics
-        snapshots, live sampler rows, event deltas and the stream's drop
-        accounting.  Returns after ``max_windows`` frames (``None`` =
-        until the connection drops or the caller breaks out); on a clean
-        exit the stream is unsubscribed so the connection stays reusable.
-
-        Raises:
-            ServeError: When the server refuses the subscription (e.g. a
-                v1-era server that does not stream).
-        """
-        self._ensure_connected()
-        self._request_counter += 1
-        sub_id = f"tail-{id(self) & 0xFFFFFF:06x}-{self._request_counter}"
-        self._send(subscribe_frame(sub_id, interval=interval,
-                                   max_queue=max_queue))
-        seen = 0
-        try:
-            while max_windows is None or seen < max_windows:
-                frame = self._recv()
-                kind = frame.get("type")
-                if kind == "error":
-                    raise ServeError(
-                        str(frame.get("error", "subscription refused")))
-                if kind == "window" and frame.get("id") == sub_id:
-                    seen += 1
-                    yield frame
-                # "subscribed" ack and unrelated frames: keep reading.
-        finally:
-            # Unsubscribe and drain in-flight windows up to the ack, so the
-            # connection is clean for subsequent requests.  Any failure
-            # here closes the socket instead — the server also cleans up
-            # subscriptions on disconnect.
-            try:
-                self._send(unsubscribe_frame(sub_id))
-                for _ in range(64):  # bounded drain; beyond this, just close
-                    frame = self._recv()
-                    if (frame.get("type") in ("unsubscribed", "error")
-                            and frame.get("id") == sub_id):
-                        break
-                else:
-                    self.close()
-            except (ServeError, ConnectionError, socket.timeout, OSError):
-                self.close()
 
     def submit(
         self,

@@ -10,15 +10,8 @@ stall forever on a runaway reply.
 Client → server frames (``type`` field):
 
 ``submit``
-    ``{"v": 2, "type": "submit", "id": "...", "specs": [<wire spec>...]}``
+    ``{"v": 1, "type": "submit", "id": "...", "specs": [<wire spec>...]}``
     — a design×workload×seed matrix as :meth:`JobSpec.to_wire` payloads.
-``subscribe`` *(v2)*
-    ``{"v": 2, "type": "subscribe", "id": "...", "interval": 1.0,
-    "max_queue": 16}`` — start a periodic telemetry stream on this
-    connection; the server answers ``subscribed`` and then ``window``
-    frames until ``unsubscribe`` or disconnect.
-``unsubscribe`` *(v2)*
-    Stop the stream started with the matching ``id``.
 ``stats``
     Request a server metrics snapshot.
 ``ping``
@@ -39,36 +32,23 @@ Server → client frames:
 ``retry``
     Back-pressure: the queue is full, retry the submit after
     ``retry_after`` seconds.  Nothing was enqueued.
-``subscribed`` / ``window`` *(v2)*
-    Stream acknowledgement and its periodic telemetry windows: metrics
-    snapshots, live sampler rows, event-ring deltas and explicit drop/loss
-    accounting (see :mod:`repro.serve.server`).
 ``stats`` / ``pong`` / ``error``
     Responses to the matching requests (``error`` also answers frames the
     server cannot parse).
 
-The protocol is versioned (:data:`PROTOCOL_VERSION`): a server rejects
-frames whose ``v`` it does not speak rather than guessing.  Version 2 is
-a strict superset of version 1 — every v1 frame is still accepted
-(:data:`SUPPORTED_VERSIONS`) and answered with byte-identical payload
-shapes, and v2-only frames (``subscribed``/``window``) are only ever sent
-to clients that asked for them, so a v1 client never sees an unknown
-frame it did not provoke.
+The protocol is versioned (:data:`PROTOCOL_VERSION`): a server rejects a
+submit whose ``v`` is not the version it speaks rather than guessing.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..exec.jobs import JobSpec
 
 #: Protocol version; bump on incompatible frame-shape changes.
-#: v2 added the ``subscribe``/``unsubscribe`` stream frames.
-PROTOCOL_VERSION = 2
-
-#: Versions this server/client generation still accepts on the wire.
-SUPPORTED_VERSIONS = (1, 2)
+PROTOCOL_VERSION = 1
 
 #: Hard ceiling for one encoded frame, newline included.  A submit of a
 #: few hundred cells and a `complete` manifest for the same both fit with
@@ -147,33 +127,6 @@ def ping_frame() -> Dict[str, object]:
     return {"v": PROTOCOL_VERSION, "type": "ping"}
 
 
-def subscribe_frame(request_id: str, interval: float = 1.0,
-                    max_queue: Optional[int] = None) -> Dict[str, object]:
-    """A ``subscribe`` frame opening a telemetry stream (protocol v2).
-
-    Args:
-        request_id: Stream identity, echoed in every ``window`` frame.
-        interval: Seconds between windows (server-clamped to sane bounds).
-        max_queue: Per-subscriber outbox bound in frames; windows that
-            would push past it are dropped (and counted) instead of
-            buffering without limit behind a slow reader.
-    """
-    frame: Dict[str, object] = {
-        "v": PROTOCOL_VERSION,
-        "type": "subscribe",
-        "id": request_id,
-        "interval": float(interval),
-    }
-    if max_queue is not None:
-        frame["max_queue"] = int(max_queue)
-    return frame
-
-
-def unsubscribe_frame(request_id: str) -> Dict[str, object]:
-    """Stop the stream started by the ``subscribe`` with the same id."""
-    return {"v": PROTOCOL_VERSION, "type": "unsubscribe", "id": request_id}
-
-
 # ----------------------------------------------------------------------
 # Frame validation (server side)
 # ----------------------------------------------------------------------
@@ -184,10 +137,9 @@ def parse_submit(frame: Dict[str, object]) -> List[JobSpec]:
         FrameError: On a version mismatch, missing/invalid ``specs`` list
             or any malformed spec payload.
     """
-    if frame.get("v") not in SUPPORTED_VERSIONS:
+    if frame.get("v") != PROTOCOL_VERSION:
         raise FrameError(
-            f"protocol version {frame.get('v')!r} not in supported "
-            f"{SUPPORTED_VERSIONS}")
+            f"protocol version {frame.get('v')!r} != supported {PROTOCOL_VERSION}")
     raw = frame.get("specs")
     if not isinstance(raw, list) or not raw:
         raise FrameError("submit frame needs a non-empty 'specs' list")

@@ -10,25 +10,15 @@ protocol (:mod:`repro.serve.protocol`); the server
 * **dedupes in-flight work** through the shared
   :class:`~repro.exec.scheduler.InflightTable` — N clients submitting the
   same cell pay for exactly one execution and all receive the result,
-* **shards** the remaining cells across a pool of worker processes
-  (reusing :func:`repro.exec.worker.run_job`, with per-job timeout,
-  bounded retry, crashed-pool rebuild and graceful thread fallback), and
+* **shards** the remaining cells across the worker processes of the
+  shared :class:`~repro.exec.pool.WorkerPool` (reusing
+  :func:`repro.exec.worker.run_job`, with per-job timeout, bounded retry
+  and a rebuild after every crash or timeout kill), and
 * applies **back-pressure**: a submit that would push the pending queue
   past ``queue_limit`` is rejected with a polite ``retry`` frame and a
-  ``retry_after`` estimate instead of growing memory without bound, and
-* **streams telemetry** (protocol v2): a ``subscribe`` frame starts a
-  periodic ``window`` stream — server metrics snapshots, live
-  :class:`~repro.obs.timeseries.SimSampler` rows and event-ring deltas
-  fanned in through the process's :class:`~repro.obs.stream.TelemetryHub`
-  — to any number of concurrent clients.  Each subscriber gets a bounded
-  share of its connection's outbox: a window that would push past the
-  subscriber's ``max_queue`` is dropped *and counted*, and sampler/event
-  rows that age out of the hub rings before a slow subscriber catches up
-  are reported as ``samples_lost``/``events_lost``.  Nothing about a v1
-  client changes: stream frames only ever go to connections that sent a
-  ``subscribe``.
+  ``retry_after`` estimate instead of growing memory without bound.
 
-Per-job progress streams to every subscribed client as server-sent
+Per-job progress streams to every submitting client as server-sent
 ``job`` events; a ``complete`` frame carries a standard run manifest
 (:class:`~repro.exec.telemetry.RunReport` form) so downstream tooling
 cannot tell a served run from a local one.  Server metrics (queue depth,
@@ -40,33 +30,30 @@ through the ``stats`` request.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
-import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..exec.cache import ResultCache, write_json_atomic
 from ..exec.jobs import JobSpec
 from ..exec.options import auto_jobs
+from ..exec.pool import Generation, PoolUnavailable, WorkerPool
 from ..exec.scheduler import InflightTable, dedupe_specs
 from ..exec.telemetry import JobRecord, RunReport
 from ..exec.worker import run_job
-from .. import obs
 from ..obs import tracectx
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, WALL_TIME_BUCKETS_S
-from ..obs.stream import TelemetryHub, install_hub
 from ..sim.results import SimulationResult
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameError,
     decode_frame,
     encode_frame,
@@ -81,26 +68,6 @@ DEFAULT_QUEUE_LIMIT = 256
 #: Deserialised results kept in memory so repeat hits skip the disk.
 HOT_RESULTS = 512
 
-#: The worker-crash budget: after this many broken process pools the
-#: ``auto`` executor stops re-forking and degrades to threads.
-_BROKEN_POOL_LIMIT = 2
-
-#: Clamp bounds for subscriber-requested stream intervals, in seconds.
-#: Below the floor a chatty subscriber becomes a busy loop; above the
-#: ceiling the stream is indistinguishable from polling ``stats``.
-MIN_STREAM_INTERVAL = 0.05
-MAX_STREAM_INTERVAL = 60.0
-
-#: Per-subscriber outbox bound, in frames: a window is dropped (and
-#: counted) rather than queued when the connection's outbox already holds
-#: this many unsent frames.  Subscribers may request their own bound
-#: within [1, MAX_STREAM_QUEUE].
-DEFAULT_STREAM_QUEUE = 16
-MAX_STREAM_QUEUE = 1024
-
-#: Broadcaster sleep when nobody is subscribed.
-_IDLE_STREAM_TICK = 0.25
-
 log = get_logger("serve")
 
 
@@ -114,13 +81,10 @@ class _Connection:
     completes server-side.
     """
 
-    _ids = iter(range(1, 1 << 62))
-
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.outbox: asyncio.Queue = asyncio.Queue()
         self.alive = True
-        self.name = f"conn-{next(self._ids)}"
 
     def send(self, frame: Dict[str, object]) -> None:
         if not self.alive:
@@ -204,48 +168,8 @@ class _Submission:
         })
 
 
-class _StreamSubscriber:
-    """One live telemetry stream (``subscribe`` frame) on a connection.
-
-    Pacing and loss semantics: a window that would overfill the
-    connection's outbox is *dropped and counted* but the ring cursors do
-    not advance — a slow subscriber sees data late, not missing.  Rows the
-    hub rings evicted before the cursor caught up (the subscriber fell
-    more than a ring capacity behind) are counted as ``samples_lost`` /
-    ``events_lost`` in every subsequent window.
-
-    Cursors start at the rings' current totals: a new subscriber streams
-    what happens from now on, not history.
-    """
-
-    __slots__ = ("conn", "sub_id", "interval", "max_queue", "seq",
-                 "windows_dropped", "samples_lost", "events_lost",
-                 "sample_cursor", "event_cursor", "next_due")
-
-    def __init__(self, conn: _Connection, sub_id: str, interval: float,
-                 max_queue: int, now: float, hub: TelemetryHub) -> None:
-        self.conn = conn
-        self.sub_id = sub_id
-        self.interval = interval
-        self.max_queue = max_queue
-        self.seq = 0
-        self.windows_dropped = 0
-        self.samples_lost = 0
-        self.events_lost = 0
-        self.sample_cursor = hub.samples.total_recorded
-        self.event_cursor = hub.events.total_recorded
-        self.next_due = now
-
-    def drops(self) -> Dict[str, int]:
-        return {
-            "windows_dropped": self.windows_dropped,
-            "samples_lost": self.samples_lost,
-            "events_lost": self.events_lost,
-        }
-
-
 class ExperimentServer:
-    """Sharded, streaming, deduplicating job server over the result cache.
+    """Sharded, deduplicating job server over the result cache.
 
     Args:
         cache: Result cache consulted before execution and populated
@@ -256,9 +180,10 @@ class ExperimentServer:
         retries: Resubmissions allowed per job after failure/timeout.
         fn: The job function (defaults to :func:`run_job`); injectable so
             tests drive the machinery with stub jobs.
-        executor: ``"auto"`` (processes, thread fallback), ``"process"``
-            or ``"thread"``.  Thread mode also accepts non-picklable
-            ``fn`` — used by tests and the in-process microbenchmark.
+        executor: ``"auto"`` (processes; threads only when the platform
+            refuses a process pool), ``"process"`` or ``"thread"``.  Thread
+            mode also accepts non-picklable ``fn`` — used by tests and the
+            in-process microbenchmark.
         host / port: Bind address; port 0 picks an ephemeral port,
             re-read from :attr:`port` after :meth:`start`.
     """
@@ -291,22 +216,16 @@ class ExperimentServer:
         self.registry = MetricsRegistry()
         self.inflight = InflightTable()
         #: Trace-context identity of everything this server executes: the
-        #: run_id lands in served manifests, per-job obs artifacts (for
-        #: ``repro obs merge``) and every stream ``window`` frame.
+        #: run_id lands in served manifests and per-job obs artifacts (for
+        #: ``repro obs merge``).
         self.run_id = tracectx.new_run_id("serve")
-        #: Live fan-in for sampler windows and rare events; installed
-        #: process-wide in :meth:`start`, drained by the broadcaster.
-        self.hub = TelemetryHub()
-        self._prev_hub: Optional[TelemetryHub] = None
         self._prev_ctx: Optional[tracectx.TraceContext] = None
-        self._stream_subs: Dict[Tuple[str, str], _StreamSubscriber] = {}
-        self._broadcaster: Optional[asyncio.Task] = None
         self._subscribers: Dict[str, List[_Submission]] = {}
         self._queue: asyncio.Queue = asyncio.Queue()
         self._connections: Set[_Connection] = set()
-        self._executor: Optional[concurrent.futures.Executor] = None
+        self._pool = WorkerPool(self.jobs)
+        self._threads: Optional[ThreadPoolExecutor] = None
         self._executor_kind_active = "none"
-        self._broken_pools = 0
         self._dispatchers: List[asyncio.Task] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._started = time.monotonic()
@@ -324,18 +243,16 @@ class ExperimentServer:
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatchers = [
             asyncio.create_task(self._dispatch_loop()) for _ in range(self.jobs)]
-        self._broadcaster = asyncio.create_task(self._stream_loop())
-        # Activate the server's trace context and telemetry hub *before*
-        # the first worker pool forks, so both propagate into workers (the
-        # env mirror additionally covers spawn-based pools).
+        # Activate the server's trace context *before* the first worker
+        # pool forks, so it propagates into the workers.
         self._prev_ctx = tracectx.activate(tracectx.TraceContext(
             run_id=self.run_id, origin="serve", root_pid=os.getpid()))
-        self._prev_hub = install_hub(self.hub)
         if self.cache is not None:
             self.cache.sweep_tmp()
         self.registry.gauge("serve.queue_depth", fn=self._queue.qsize)
         self.registry.gauge("serve.inflight", fn=lambda: len(self.inflight))
         self.registry.gauge("serve.connections", fn=lambda: len(self._connections))
+        self.registry.gauge("serve.workers_crashed", fn=lambda: self._pool.crashes)
         log.info("serving on %s:%d (%d worker slot%s, queue limit %d)",
                  self.host, self.port, self.jobs,
                  "s" if self.jobs != 1 else "", self.queue_limit)
@@ -351,24 +268,20 @@ class ExperimentServer:
             self._server.close()
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
-        tasks = list(self._dispatchers)
-        if self._broadcaster is not None:
-            tasks.append(self._broadcaster)
-        for task in tasks:
+        for task in self._dispatchers:
             task.cancel()
-        for task in tasks:
+        for task in self._dispatchers:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         self._dispatchers = []
-        self._broadcaster = None
-        self._stream_subs.clear()
-        install_hub(self._prev_hub)
         tracectx.activate(self._prev_ctx)
-        self._prev_hub = None
         self._prev_ctx = None
         for conn in list(self._connections):
             conn.close()
-        self._rebuild_executor(kill=False)
+        self._pool.close()
+        if self._threads is not None:
+            self._threads.shutdown(wait=False)
+            self._threads = None
 
     def run(self) -> None:
         """Blocking entry point for the CLI; stops on Ctrl-C."""
@@ -425,9 +338,6 @@ class ExperimentServer:
             # callback (task.exception() on the handler task) stays quiet
         finally:
             self._connections.discard(conn)
-            for key in [k for k, s in self._stream_subs.items()
-                        if s.conn is conn]:
-                del self._stream_subs[key]
             conn.close()
             await conn.wait_closed(drain_task)
 
@@ -439,10 +349,6 @@ class ExperimentServer:
             conn.send({"type": "stats", "stats": self.stats()})
         elif kind == "submit":
             self._handle_submit(conn, frame)
-        elif kind == "subscribe":
-            self._handle_subscribe(conn, frame)
-        elif kind == "unsubscribe":
-            self._handle_unsubscribe(conn, frame)
         else:
             self.registry.counter("serve.frames_rejected").inc()
             conn.send({"type": "error", "error": f"unknown frame type {kind!r}"})
@@ -553,96 +459,6 @@ class ExperimentServer:
         return max(0.1, min(60.0, backlog * per_job / max(1, self.jobs)))
 
     # ------------------------------------------------------------------
-    # Telemetry streaming (protocol v2)
-    # ------------------------------------------------------------------
-    def _handle_subscribe(self, conn: _Connection, frame: Dict[str, object]) -> None:
-        if frame.get("v") != PROTOCOL_VERSION:
-            # v1 never defined subscribe; an explicit error beats a stream
-            # of frames the client does not understand.
-            self.registry.counter("serve.frames_rejected").inc()
-            conn.send({"type": "error", "id": frame.get("id"),
-                       "error": "subscribe requires protocol v2"})
-            return
-        sub_id = str(frame.get("id") or f"sub-{next(self._request_ids)}")
-        try:
-            interval = float(frame.get("interval", 1.0))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            interval = 1.0
-        interval = min(max(interval, MIN_STREAM_INTERVAL), MAX_STREAM_INTERVAL)
-        try:
-            max_queue = int(frame.get("max_queue", DEFAULT_STREAM_QUEUE))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            max_queue = DEFAULT_STREAM_QUEUE
-        max_queue = min(max(max_queue, 1), MAX_STREAM_QUEUE)
-        sub = _StreamSubscriber(conn, sub_id, interval, max_queue,
-                                time.monotonic(), self.hub)
-        self._stream_subs[(conn.name, sub_id)] = sub
-        self.registry.counter("serve.stream_subscribes").inc()
-        conn.send({
-            "type": "subscribed", "v": PROTOCOL_VERSION, "id": sub_id,
-            "run_id": self.run_id, "interval": interval,
-            "max_queue": max_queue,
-        })
-        # First window goes out immediately — a tail should show *something*
-        # before its first full interval elapses.
-        self._send_window(sub, time.monotonic())
-
-    def _handle_unsubscribe(self, conn: _Connection, frame: Dict[str, object]) -> None:
-        sub_id = str(frame.get("id", ""))
-        sub = self._stream_subs.pop((conn.name, sub_id), None)
-        if sub is None:
-            conn.send({"type": "error", "id": sub_id,
-                       "error": f"no active stream {sub_id!r}"})
-            return
-        conn.send({"type": "unsubscribed", "id": sub_id,
-                   "drops": sub.drops()})
-
-    async def _stream_loop(self) -> None:
-        """Broadcaster: wake for the earliest-due subscriber, send windows."""
-        while True:
-            now = time.monotonic()
-            for key, sub in list(self._stream_subs.items()):
-                if not sub.conn.alive:
-                    self._stream_subs.pop(key, None)
-                    continue
-                if now >= sub.next_due:
-                    self._send_window(sub, now)
-            delays = [max(0.02, s.next_due - time.monotonic())
-                      for s in self._stream_subs.values()]
-            await asyncio.sleep(min(delays) if delays else _IDLE_STREAM_TICK)
-
-    def _send_window(self, sub: _StreamSubscriber, now: float) -> None:
-        sub.next_due = now + sub.interval
-        if sub.conn.outbox.qsize() >= sub.max_queue:
-            # The subscriber's reader is behind; dropping here (without
-            # advancing cursors) bounds memory while keeping data intact.
-            sub.windows_dropped += 1
-            self.registry.counter("serve.stream_windows_dropped").inc()
-            return
-        samples, samples_lost, sub.sample_cursor = \
-            self.hub.tail_samples(sub.sample_cursor)
-        events, events_lost, sub.event_cursor = \
-            self.hub.tail_events(sub.event_cursor)
-        if samples_lost or events_lost:
-            sub.samples_lost += samples_lost
-            sub.events_lost += events_lost
-            self.registry.counter("serve.stream_rows_lost").inc(
-                samples_lost + events_lost)
-        sub.seq += 1
-        sub.conn.send({
-            "type": "window", "v": PROTOCOL_VERSION, "id": sub.sub_id,
-            "seq": sub.seq, "run_id": self.run_id,
-            "at_s": round(now - self._started, 3),
-            "interval": sub.interval,
-            "metrics": self.registry.snapshot(),
-            "obs_metrics": obs.registry().snapshot(),
-            "samples": samples,
-            "events": events,
-            "drops": dict(sub.drops(), ring=self.hub.summary()),
-        })
-        self.registry.counter("serve.stream_windows_sent").inc()
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
@@ -661,38 +477,34 @@ class ExperimentServer:
                                     f"{type(exc).__name__}: {exc}")
 
     async def _execute(self, job_hash: str, spec: JobSpec) -> None:
-        loop = asyncio.get_running_loop()
         error = "not executed"
         attempt = 0
         total_wall = 0.0
-        for attempt in range(1, self.retries + 2):
+        while attempt <= self.retries:
+            attempt += 1
             self._publish(job_hash, "started", attempt=attempt,
                           design=spec.design, workload=spec.workload)
             started = time.monotonic()
+            generation: Optional[Generation] = None
             try:
-                future = loop.run_in_executor(self._ensure_executor(), self.fn, spec)
-                result = await asyncio.wait_for(future, self.timeout)
+                future, generation = self._submit(spec)
+                result = await asyncio.wait_for(
+                    asyncio.wrap_future(future), self.timeout)
             except asyncio.TimeoutError:
-                total_wall += time.monotonic() - started
                 error = f"timeout after {self.timeout:.1f}s"
                 self.registry.counter("serve.jobs_timeout").inc()
-                # The worker may be wedged: kill the pool to reclaim it.
-                self._rebuild_executor(kill=True)
-                continue
+                self._abandon(generation)
             except BrokenProcessPool as exc:
-                total_wall += time.monotonic() - started
                 error = f"worker crashed: {exc}"
-                self.registry.counter("serve.workers_crashed").inc()
-                self._broken_pools += 1
-                self._rebuild_executor(kill=False)
-                continue
+                if not self._pool.crashed(generation):
+                    attempt -= 1  # killed for another job's timeout: re-run free
             except Exception as exc:
-                total_wall += time.monotonic() - started
                 error = f"{type(exc).__name__}: {exc}"
-                continue
+            else:
+                total_wall += time.monotonic() - started
+                self._finish_ok(job_hash, spec, attempt, total_wall, result)
+                return
             total_wall += time.monotonic() - started
-            self._finish_ok(job_hash, spec, attempt, total_wall, result)
-            return
         self._finish_failed(job_hash, spec, attempt, total_wall, error)
 
     def _finish_ok(self, job_hash: str, spec: JobSpec, attempts: int,
@@ -732,44 +544,34 @@ class ExperimentServer:
     # ------------------------------------------------------------------
     # Worker pool
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> concurrent.futures.Executor:
-        if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    def _make_executor(self) -> concurrent.futures.Executor:
-        kind = self.executor_kind
-        if kind == "auto" and self._broken_pools >= _BROKEN_POOL_LIMIT:
-            kind = "thread"  # repeated pool crashes: stop re-forking
-        if kind in ("auto", "process"):
+    def _submit(self, spec: JobSpec) -> Tuple[Future, Optional[Generation]]:
+        """Start ``spec`` on the process pool, or on threads when the
+        executor is ``thread`` or the platform refuses a process pool."""
+        if self.executor_kind != "thread" and self._threads is None:
             try:
-                if "fork" in multiprocessing.get_all_start_methods():
-                    ctx = multiprocessing.get_context("fork")
-                else:  # pragma: no cover - non-POSIX platforms
-                    ctx = multiprocessing.get_context()
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=ctx)
-                self._executor_kind_active = "process"
-                return pool
-            except (OSError, ValueError, ImportError):  # pragma: no cover
-                if kind == "process":
+                future, generation = self._pool.submit(self.fn, spec)
+            except PoolUnavailable as exc:
+                if self.executor_kind == "process":
                     raise
+                log.warning("no process pool (%s); running jobs on threads", exc)
+            else:
+                self._executor_kind_active = "process"
+                return future, generation
+        if self._threads is None:
+            self._threads = ThreadPoolExecutor(
+                max_workers=self.jobs, thread_name_prefix="repro-serve")
         self._executor_kind_active = "thread"
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-serve")
+        return self._threads.submit(self.fn, spec), None
 
-    def _rebuild_executor(self, kill: bool) -> None:
-        pool, self._executor = self._executor, None
-        if pool is None:
-            return
-        if kill:
-            # Best-effort reclamation of wedged workers; shutdown() alone
-            # would wait on them forever.
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                with contextlib.suppress(Exception):
-                    proc.kill()
-        with contextlib.suppress(Exception):
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _abandon(self, generation: Optional[Generation]) -> None:
+        """Reclaim the worker of a job that overran its timeout."""
+        if generation is not None:
+            self._pool.kill(generation)
+        elif self._threads is not None:
+            # A thread cannot be killed: let it run out unobserved and give
+            # later jobs fresh threads.
+            self._threads.shutdown(wait=False)
+            self._threads = None
 
     # ------------------------------------------------------------------
     # Stats
@@ -785,7 +587,6 @@ class ExperimentServer:
         return {
             "server": "repro.serve/1",
             "v": PROTOCOL_VERSION,
-            "supported_versions": list(SUPPORTED_VERSIONS),
             "run_id": self.run_id,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "workers": self.jobs,
@@ -794,7 +595,6 @@ class ExperimentServer:
             "queue_limit": self.queue_limit,
             "inflight": len(self.inflight),
             "connections": len(self._connections),
-            "stream_subscribers": len(self._stream_subs),
             "cache_hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
             "dedup_led": self.inflight.led,
             "dedup_joined": self.inflight.joined,
@@ -803,7 +603,6 @@ class ExperimentServer:
             # just the flat snapshot — mirrors what the stats artifact
             # persists so one `stats` request is a complete picture.
             "registry": registry.to_dict(),
-            "telemetry": self.hub.summary(),
             "job_wall_time_s": {
                 "total": histogram.total,
                 "mean": round(histogram.mean, 4),

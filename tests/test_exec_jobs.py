@@ -34,6 +34,12 @@ def test_hash_is_hex_sha256():
     int(digest, 16)  # raises if not hex
 
 
+def test_hash_is_pinned():
+    # A changed digest strands every cached result; change it on purpose.
+    assert make_job().content_hash() == (
+        "f128bc9bbd78b42e1224f88ff1bce944e1eff00d6668849ad8180542bbadf0bd")
+
+
 @pytest.mark.parametrize("field,value", [
     ("design", "cosmos"),
     ("workload", "bfs"),

@@ -1,5 +1,6 @@
 """Tests for the parallel runner: fallback, retry, timeout, determinism."""
 
+import os
 import time
 from pathlib import Path
 
@@ -44,6 +45,16 @@ def _hang_once_job(spec):
         flag.write_text("attempt 1")
         time.sleep(60)
     return "recovered"
+
+
+def _crash_job(spec):
+    os._exit(3)
+
+
+def _wedge_or_work_job(spec):
+    # Seed 1 wedges; seeds 2 and 3 work for 1.0 s and 1.5 s.
+    time.sleep({1: 60, 2: 1.0, 3: 1.5}[spec.seed])
+    return f"done:{spec.seed}"
 
 
 @pytest.fixture
@@ -181,6 +192,42 @@ def test_timeout_then_retry_recovers(tmp_path):
     assert out[spec.content_hash()] == "recovered"
     record = runner.report.records[0]
     assert record.status == "ok" and record.attempts == 2
+
+
+def test_worker_crash_is_reported_as_a_crash():
+    runner = ParallelRunner(jobs=2, timeout=3.0, retries=1, fn=_crash_job,
+                            ticker=False)
+    with pytest.raises(ExecutionError, match="crashed"):
+        runner.run([make_job()])
+    record = runner.report.records[0]
+    assert record.status == "failed" and record.attempts == 2
+    assert "worker crashed" in record.error
+
+
+def test_job_killed_beside_a_timeout_reruns_without_an_attempt():
+    # Seed 3 starts when seed 2 finishes (t=1.0) and is still running when
+    # seed 1 times out (t=2.0), so the kill takes it down too.
+    wedged, short, killed = (make_job(seed=s) for s in (1, 2, 3))
+    runner = ParallelRunner(jobs=2, timeout=2.0, retries=0,
+                            fn=_wedge_or_work_job, strict=False, ticker=False)
+    out = runner.run([wedged, short, killed])
+    assert out == {short.content_hash(): "done:2",
+                   killed.content_hash(): "done:3"}
+    records = {record.job_hash: record for record in runner.report.records}
+    assert records[wedged.content_hash()].status == "timeout"
+    assert records[killed.content_hash()].status == "ok"
+    assert records[killed.content_hash()].attempts == 1
+
+
+def test_refused_fork_falls_back_to_serial(monkeypatch):
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    spec = make_job()
+    runner = ParallelRunner(jobs=2, fn=_echo_job, ticker=False)
+    assert runner.run([spec]) == {spec.content_hash(): "done:np/dfs"}
+    assert runner.report.mode == "serial"
 
 
 def test_pool_mode_runs_real_jobs(quick_env):

@@ -1,5 +1,5 @@
-"""Unit tests for cross-process trace context, the telemetry hub and the
-run-level Chrome-trace merge."""
+"""Unit tests for cross-process trace context and the run-level
+Chrome-trace merge."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro import obs
 from repro.obs import tracectx
 from repro.obs.artifacts import obs_root, write_job_artifacts
 from repro.obs.merge import merge_events, merge_manifest, spans_to_events
-from repro.obs.stream import TelemetryHub, tail_since
 from repro.obs.tracectx import TRACE_ENV, TraceContext, new_run_id
 
 
@@ -70,72 +69,10 @@ def test_job_annotations_stamp_pid_and_run():
     assert fields == {"pid": os.getpid(), "run_id": "run-a", "origin": "serve"}
 
 
-def test_obs_reset_clears_context_and_hub():
+def test_obs_reset_clears_context():
     tracectx.activate(TraceContext(run_id="run-stale"))
-    obs.install_hub(TelemetryHub())
     obs.reset()
     assert tracectx.current() is None
-    assert obs.active_hub() is None
-
-
-# ----------------------------------------------------------------------
-# Telemetry hub
-# ----------------------------------------------------------------------
-def test_hub_sanitizes_and_counts():
-    hub = TelemetryHub(sample_capacity=4)
-    hub.publish_sample("cosmos", "zipf", at=1000,
-                       values={"rate": 0.5, "bad": float("nan")})
-    rows, lost, cursor = hub.tail_samples(0)
-    assert lost == 0 and cursor == 1
-    assert rows[0]["values"] == {"rate": 0.5, "bad": None}
-    hub.publish_event({"kind": "ctr_overflow", "at": 5, "depth": float("inf")})
-    events, _, _ = hub.tail_events(0)
-    assert events[0]["kind"] == "ctr_overflow"
-    assert events[0]["depth"] is None
-
-
-def test_tail_since_counts_evictions_as_lost():
-    hub = TelemetryHub(sample_capacity=2)
-    for at in range(5):
-        hub.publish_sample("d", "w", at=at, values={})
-    rows, lost, cursor = hub.tail_samples(0)
-    assert [r["at"] for r in rows] == [3, 4]
-    assert lost == 3 and cursor == 5
-    # Caught-up consumer: nothing new, nothing lost.
-    assert hub.tail_samples(cursor) == ([], 0, 5)
-
-
-def test_tail_since_partial_catchup():
-    ring = TelemetryHub(sample_capacity=8).samples
-    for at in range(4):
-        ring.record("sample", at=at)
-    rows, lost, cursor = tail_since(ring, 2)
-    assert [r["at"] for r in rows] == [2, 3]
-    assert lost == 0 and cursor == 4
-
-
-def test_sampler_publishes_into_active_hub(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS", "1")
-    monkeypatch.setenv("REPRO_OBS_INTERVAL", "500")
-    from repro.sim.config import small_test_config
-    from repro.sim.simulator import Simulator, build_design
-    from repro.workloads.micro import zipf_trace
-
-    hub = TelemetryHub()
-    obs.install_hub(hub)
-    try:
-        config = small_test_config(num_cores=1)
-        trace = zipf_trace(n=2000, seed=7, write_fraction=0.4)
-        simulator = Simulator(build_design("morphctr", config), config,
-                              workload="zipf")
-        simulator.run(trace.arrays())
-    finally:
-        obs.install_hub(None)
-    rows, lost, _ = hub.tail_samples(0)
-    assert lost == 0
-    assert [r["at"] for r in rows] == [500, 1000, 1500, 2000]
-    assert all(r["design"] == "morphctr" and r["workload"] == "zipf"
-               for r in rows)
 
 
 # ----------------------------------------------------------------------

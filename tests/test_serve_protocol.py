@@ -145,10 +145,9 @@ def test_parse_submit_round_trip():
 
 def test_parse_submit_rejections():
     frame = submit_frame([make_job()], request_id="r")
-    with pytest.raises(FrameError, match="version"):
-        parse_submit({**frame, "v": 3})
-    # v1 submits are still accepted — the v2 protocol is a strict superset.
-    assert len(parse_submit({**frame, "v": 1})) == 1
+    for version in (None, 2, 3):
+        with pytest.raises(FrameError, match="version"):
+            parse_submit({**frame, "v": version})
     with pytest.raises(FrameError, match="specs"):
         parse_submit({**frame, "specs": []})
     with pytest.raises(FrameError, match="specs"):

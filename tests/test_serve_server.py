@@ -4,8 +4,9 @@ Most tests run the real asyncio server on a background thread with the
 ``thread`` executor and stub job functions (closures are fine without
 pickling), talking to it over real TCP sockets.  One test drives real
 simulations through the full stack and checks the served results are
-identical to a local :class:`ParallelRunner`; one exercises the process
-pool's crash recovery.
+identical to a local :class:`ParallelRunner`; the worker-failure tests
+run the process pool with module-level stub jobs that read their result
+from a file.
 """
 
 import json
@@ -13,6 +14,7 @@ import os
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.serve import (
     encode_frame,
 )
 from repro.sim.config import small_test_config
+from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 
 
@@ -59,6 +62,44 @@ def quick_env(tmp_path, monkeypatch):
 
 def _crash_job(spec):  # must be top-level: the process pool pickles it
     os._exit(13)
+
+
+# The stub jobs below run in pool workers; ``spec.workload`` names a
+# directory holding the result they return and their marker files.
+def _store_result(directory, result):
+    (directory / "result.json").write_text(json.dumps(result.to_dict()))
+
+
+def _stored_result(spec):
+    path = Path(spec.workload) / "result.json"
+    return SimulationResult.from_dict(json.loads(path.read_text()))
+
+
+def _crash_once_job(spec):
+    # Seed 1 crashes its worker on its first attempt; seed 2 works 1.5 s.
+    marker = Path(spec.workload) / "crashed"
+    if spec.seed == 1 and not marker.exists():
+        time.sleep(0.3)
+        marker.write_text("seed 1")
+        os._exit(13)
+    if spec.seed == 2:
+        time.sleep(1.5)
+    return _stored_result(spec)
+
+
+def _crash_seed_1_job(spec):
+    if spec.seed == 1:
+        os._exit(13)
+    return _stored_result(spec)
+
+
+def _wedge_seed_1_job(spec):
+    # Seed 1 leaves a marker and wedges; any other seed works 1.5 s.
+    if spec.seed == 1:
+        (Path(spec.workload) / "wedged").write_text("seed 1")
+        time.sleep(60)
+    time.sleep(1.5)
+    return _stored_result(spec)
 
 
 def counter_value(stats, name):
@@ -299,6 +340,92 @@ def test_worker_crash_fails_job_but_cache_still_serves(tiny_result, tmp_path):
     assert counter_value(stats, "serve.workers_crashed") >= 1
 
 
+def test_crash_beside_a_running_job_counts_one_crash(tiny_result, tmp_path):
+    _store_result(tmp_path, tiny_result)
+    specs = [make_job(workload=str(tmp_path), seed=seed) for seed in (1, 2)]
+    server = ExperimentServer(cache=None, jobs=2, executor="auto", retries=1,
+                              timeout=30, fn=_crash_once_job)
+    with ServerThread(server):
+        with ServeClient(port=server.port, timeout=60) as client:
+            results, _ = client.submit(specs)
+            client.submit([make_job(workload=str(tmp_path), seed=3)])
+            stats = client.stats()
+    # Both jobs were on the crashed pool: each is charged one attempt and
+    # succeeds on its retry, but the crash is counted once.
+    assert set(results) == {spec.content_hash() for spec in specs}
+    assert counter_value(stats, "serve.workers_crashed") == 1
+    assert stats["executor"] == "process"
+
+
+def test_repeated_crashes_keep_the_process_pool(tiny_result, tmp_path):
+    _store_result(tmp_path, tiny_result)
+    benign = make_job(workload=str(tmp_path), seed=2)
+    server = ExperimentServer(cache=None, jobs=1, executor="auto", retries=1,
+                              timeout=30, fn=_crash_seed_1_job)
+    with ServerThread(server):
+        with ServeClient(port=server.port, timeout=60) as client:
+            with pytest.raises(JobsFailed, match="crashed"):
+                client.submit([make_job(workload=str(tmp_path), seed=1)])
+            results, _ = client.submit([benign])
+            stats = client.stats()
+    assert counter_value(stats, "serve.workers_crashed") == 2
+    # The benign job ran on a rebuilt process pool, not in a server thread.
+    assert stats["executor"] == "process"
+    assert benign.content_hash() in results
+
+
+def test_timeout_kill_reruns_the_job_beside_it(tiny_result, tmp_path):
+    _store_result(tmp_path, tiny_result)
+    wedged = make_job(workload=str(tmp_path), seed=1)
+    beside = make_job(workload=str(tmp_path), seed=2)
+    server = ExperimentServer(cache=None, jobs=2, executor="process",
+                              retries=0, timeout=2.0, fn=_wedge_seed_1_job)
+    failures = {}
+
+    def submit_wedged():
+        try:
+            with ServeClient(port=server.port, timeout=60) as client:
+                client.submit([wedged])
+        except JobsFailed as exc:
+            failures.update(exc.failures)
+
+    with ServerThread(server):
+        thread = threading.Thread(target=submit_wedged)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "wedged").exists():
+            assert time.monotonic() < deadline, "the wedged job never started"
+            time.sleep(0.01)
+        # Started 1.0 s after the wedged job, the 1.5 s job is still running
+        # when the wedged one times out and its pool is killed.
+        time.sleep(1.0)
+        with ServeClient(port=server.port, timeout=60) as client:
+            results, _ = client.submit([beside])
+            thread.join(timeout=30)
+            stats = client.stats()
+    assert not thread.is_alive()
+    assert "timeout" in failures[wedged.content_hash()]
+    assert results[beside.content_hash()].to_dict() == tiny_result.to_dict()
+    assert counter_value(stats, "serve.workers_crashed") == 0
+    assert counter_value(stats, "serve.jobs_timeout") == 1
+
+
+def test_auto_executor_runs_threads_only_without_a_process_pool(
+        tiny_result, monkeypatch):
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    server = ExperimentServer(cache=None, jobs=1, executor="auto",
+                              fn=lambda spec: tiny_result)
+    with ServerThread(server):
+        with ServeClient(port=server.port, timeout=30) as client:
+            results, _ = client.submit([make_job()])
+            stats = client.stats()
+    assert results[make_job().content_hash()].to_dict() == tiny_result.to_dict()
+    assert stats["executor"] == "thread"
+
+
 # ----------------------------------------------------------------------
 # Client reconnect
 # ----------------------------------------------------------------------
@@ -388,6 +515,49 @@ def test_unknown_frame_type_keeps_connection(tiny_result):
         sock.sendall(encode_frame({"v": 1, "type": "ping"}))
         assert json.loads(reader.readline())["type"] == "pong"
         sock.close()
+
+
+def test_submit_accepts_only_protocol_v1(tiny_result, tmp_path):
+    spec = make_job()
+    cache = ResultCache(tmp_path / "results")
+    assert cache.put(spec, tiny_result)
+    server = ExperimentServer(cache=cache, jobs=1, executor="thread",
+                              fn=lambda s: tiny_result)
+
+    def submit_with_version(version):
+        sock, reader = _raw_connection(server.port)
+        with sock, reader:
+            sock.sendall(encode_frame({"v": version, "type": "submit",
+                                       "id": "req", "specs": [spec.to_wire()]}))
+            frames = [json.loads(reader.readline())]
+            while frames[-1]["type"] not in ("complete", "error"):
+                frames.append(json.loads(reader.readline()))
+        return frames
+
+    with ServerThread(server):
+        v1, v2, v3 = [submit_with_version(version) for version in (1, 2, 3)]
+    job_frames = [frame for frame in v1 if frame["type"] == "job"]
+    assert [frame["event"] for frame in job_frames] == ["cached"]
+    assert job_frames[0]["result"] == tiny_result.to_dict()
+    assert v1[-1]["type"] == "complete"
+    # A version the server does not speak is rejected, not guessed at.
+    for frames in (v2, v3):
+        assert frames[-1]["type"] == "error"
+        assert "version" in frames[-1]["error"]
+
+
+def test_served_manifest_carries_run_id(tiny_result, tmp_path):
+    server = ExperimentServer(cache=None, jobs=1, executor="thread",
+                              fn=lambda s: tiny_result)
+    with ServerThread(server):
+        with ServeClient(port=server.port, timeout=30) as client:
+            _, manifest = client.submit([make_job()])
+            stats = client.stats()
+    assert manifest["run_id"] == server.run_id
+    assert stats["run_id"] == server.run_id
+    # The stats reply embeds the full typed registry dump.
+    assert stats["registry"]["serve.jobs_executed"]["type"] == "counter"
+    assert stats["registry"]["serve.jobs_executed"]["value"] == 1
 
 
 def test_stats_shape(tiny_result):
