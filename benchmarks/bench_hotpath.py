@@ -21,7 +21,6 @@ from repro.bench.history import HISTORY_FILENAME, append_history
 from repro.bench.perf import (
     DEFAULT_DESIGNS,
     measure_dram,
-    measure_serve,
     run_benchmark,
     write_report,
 )
@@ -105,28 +104,6 @@ def test_dram_microbench(run_once):
                 f"{PERF_BUDGET:.0%} below the committed baseline "
                 f"({reference:,.0f} req/s)"
             )
-
-
-def test_serve_microbench(run_once):
-    """Experiment-service cache-hit fast path — requests/second over TCP.
-
-    A warm repeated submit must be answered from the result cache without
-    touching the worker pool (``jobs_executed`` stays at the warm-up
-    count), and the round-trip rate must clear the 500 req/s floor the
-    service promises for cache hits.  The floor is absolute, not
-    baseline-relative: socket round-trip times swing far more than the
-    ±3% simulator budget run-to-run, so a relative gate would only
-    measure scheduler noise.
-    """
-    entry = run_once(measure_serve)
-    assert entry["requests"] > 0
-    assert entry["jobs_executed"] == entry["warm_specs"], (
-        "timed phase leaked onto a worker — not measuring the fast path"
-    )
-    assert entry["requests_per_sec"] >= 500, (
-        f"serve fast path {entry['requests_per_sec']:,.0f} req/s is below "
-        f"the 500 req/s cache-hit floor"
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover

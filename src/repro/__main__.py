@@ -8,8 +8,6 @@ Commands:
 * ``simulate -w WORKLOAD -d DESIGN [...]`` — one ad-hoc simulation.
 * ``obs summarize|dump|plot`` — inspect observability artifacts collected
   by runs with ``REPRO_OBS=1`` (or the ``--obs`` flag).
-* ``serve`` / ``submit`` — run the experiment service over the result
-  cache, and submit design×workload×seed matrices to it (``docs/serving.md``).
 * ``list`` — show available experiments, designs and workloads.
 """
 
@@ -64,7 +62,7 @@ DESIGNS = [
 
 
 def _apply_execution_flags(args: argparse.Namespace) -> None:
-    """Propagate --jobs/--no-cache/--serve/--obs into process-wide options."""
+    """Propagate --jobs/--no-cache/--obs into process-wide options."""
     import os
 
     from .exec import auto_jobs, set_options
@@ -78,8 +76,6 @@ def _apply_execution_flags(args: argparse.Namespace) -> None:
         set_options(jobs=auto_jobs(), jobs_source="auto")
     if getattr(args, "no_cache", False):
         set_options(use_cache=False)
-    if getattr(args, "serve", None):
-        set_options(serve=args.serve)
     if getattr(args, "obs", False):
         from . import obs
 
@@ -169,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs", action="store_true",
         help="enable observability (spans, time-series, events; like REPRO_OBS=1)",
     )
-    reproduce.add_argument(
-        "--serve", metavar="HOST[:PORT]", default=None,
-        help="run simulation cells through a repro serve instance "
-             "instead of a local worker pool (like REPRO_SERVE)",
-    )
     reproduce.set_defaults(func=_cmd_reproduce)
 
     simulate = sub.add_parser("simulate", help="run one design on one workload")
@@ -191,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--obs", action="store_true",
         help="enable observability (spans, time-series, events; like REPRO_OBS=1)",
-    )
-    simulate.add_argument(
-        "--serve", metavar="HOST[:PORT]", default=None,
-        help="run simulation cells through a repro serve instance "
-             "instead of a local worker pool (like REPRO_SERVE)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -215,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .verify.cli import add_verify_parser
 
     add_verify_parser(sub)
-
-    from .serve.cli import add_serve_parser
-
-    add_serve_parser(sub)
     return parser
 
 

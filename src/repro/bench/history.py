@@ -3,8 +3,8 @@
 ``BENCH_hotpath.json`` is a single overwritten snapshot — good for a diff,
 blind to slow drift.  This module keeps the longitudinal record:
 :func:`append_history` distils each perf-harness payload into one JSONL
-line (git sha, timestamp, per-``design@path`` throughput, the DRAM and
-serve microbench rates) appended to ``BENCH_history.jsonl``, and
+line (git sha, timestamp, per-``design@path`` throughput, the DRAM
+microbench rate) appended to ``BENCH_history.jsonl``, and
 :func:`analyze_trend` compares the newest entry against the **median of
 the last N comparable runs** — flagging drifts well below the blunt ≤3%
 CI gate before they compound into one.
@@ -70,9 +70,6 @@ def history_entry(payload: Dict[str, object],
     dram = payload.get("dram_microbench")
     if isinstance(dram, dict) and dram.get("requests_per_sec"):
         record["dram_rps"] = round(float(dram["requests_per_sec"]), 1)
-    serve = payload.get("serve_microbench")
-    if isinstance(serve, dict) and serve.get("requests_per_sec"):
-        record["serve_rps"] = round(float(serve["requests_per_sec"]), 1)
     return record
 
 
@@ -134,10 +131,8 @@ def _comparable(a: Dict[str, object], b: Dict[str, object]) -> bool:
 def _rates(record: Dict[str, object]) -> Dict[str, float]:
     rates = {str(k): float(v)
              for k, v in (record.get("throughput") or {}).items() if v}
-    for key in ("dram_rps", "serve_rps"):
-        value = record.get(key)
-        if value:
-            rates[key] = float(value)
+    if record.get("dram_rps"):
+        rates["dram_rps"] = float(record["dram_rps"])
     return rates
 
 

@@ -17,7 +17,6 @@ Usage::
     python -m repro.bench.perf --designs cosmos   # subset of designs
     python -m repro.bench.perf --profile cosmos   # cProfile top-N instead
     python -m repro.bench.perf --obs-check        # obs on/off overhead ratio
-    python -m repro.bench.perf --serve            # serve fast-path microbench
 
 or via the pytest-benchmark wrapper ``benchmarks/bench_hotpath.py``.
 """
@@ -64,9 +63,6 @@ DEFAULT_OUTPUT = "BENCH_hotpath.json"
 #: Requests in the DRAM-only microbenchmark (the bank-state model is the
 #: innermost hot-path call, so it gets its own tracked number).
 DRAM_BENCH_N = 200_000
-
-#: Single-spec submits timed against a warm cache in the serve microbench.
-SERVE_BENCH_REQUESTS = 300
 
 
 def hotpath_trace(
@@ -169,82 +165,19 @@ def measure_dram(
     }
 
 
-def measure_serve(
-    requests: int = SERVE_BENCH_REQUESTS,
-    warm_specs: int = 8,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time the experiment service's cache-hit fast path, requests/second.
-
-    Boots a real ``repro.serve`` server in-process (thread executor, real
-    TCP sockets) over a throwaway result cache, warms it with
-    ``warm_specs`` stub jobs, then times single-spec submits answered
-    entirely from the cache — wire protocol, dedupe bookkeeping and cache
-    lookup included, worker pool excluded.  ``jobs_executed`` in the entry
-    must equal ``warm_specs``: more would mean the timed phase leaked onto
-    a worker and the number is not the fast path.
-    """
-    import shutil
-    import tempfile
-
-    from ..exec.cache import ResultCache
-    from ..exec.jobs import JobSpec
-    from ..serve.client import ServeClient
-    from ..serve.server import ExperimentServer, ServerThread
-    from ..sim.config import small_test_config
-
-    if repeats < 1 or requests < 1:
-        raise ValueError("repeats and requests must be >= 1")
-    config = small_test_config()
-    trace = hotpath_trace(n=2000)
-    with obs.overridden(False):
-        simulator = Simulator(build_design("np", config), config,
-                              workload=trace.name)
-        payload_result = simulator.run(trace.arrays())
-    specs = [JobSpec(design="np", workload="serve-bench", config=config,
-                     num_cores=1, trace_length=2000, graph_scale=1.0,
-                     seed=seed)
-             for seed in range(warm_specs)]
-    tmp = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-    best = float("inf")
-    try:
-        server = ExperimentServer(
-            cache=ResultCache(tmp / "results"), jobs=2, executor="thread",
-            fn=lambda spec: payload_result)
-        with ServerThread(server):
-            with ServeClient(port=server.port, timeout=60) as client:
-                client.submit(specs)  # cold pass: run the stubs, fill the cache
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    for index in range(requests):
-                        client.submit([specs[index % warm_specs]])
-                    best = min(best, time.perf_counter() - started)
-        executed = server.registry.counter("serve.jobs_executed").value
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {
-        "requests": requests,
-        "warm_specs": warm_specs,
-        "best_seconds": best,
-        "requests_per_sec": requests / best if best > 0 else 0.0,
-        "jobs_executed": int(executed),
-    }
-
-
 def run_benchmark(
     designs: Sequence[str] = DEFAULT_DESIGNS,
     n: int = TRACE_N,
     seed: int = TRACE_SEED,
     repeats: int = 3,
     config: Optional[SimulationConfig] = None,
-    serve: bool = True,
 ) -> Dict[str, object]:
     """Measure every design and assemble the full report payload."""
     trace = hotpath_trace(n=n, seed=seed)
     results: Dict[str, object] = {}
     for name in designs:
         results[name] = measure_design(name, trace, config=config, repeats=repeats)
-    payload: Dict[str, object] = {
+    return {
         "schema": SCHEMA,
         "generated_unix": int(time.time()),
         "python": platform.python_version(),
@@ -258,9 +191,6 @@ def run_benchmark(
         "results": results,
         "dram_microbench": measure_dram(seed=seed, repeats=repeats),
     }
-    if serve:
-        payload["serve_microbench"] = measure_serve(repeats=repeats)
-    return payload
 
 
 def write_report(payload: Dict[str, object], path: Path) -> None:
@@ -284,13 +214,6 @@ def format_report(payload: Dict[str, object]) -> str:
             f"  (row hit {dram['row_hit_rate']:.2f},"
             f" read {dram['avg_read_latency']:.1f}cyc,"
             f" write {dram['avg_write_latency']:.1f}cyc)"
-        )
-    serve = payload.get("serve_microbench")
-    if serve:
-        lines.append(
-            f"{'serve':>10}: {serve['requests_per_sec']:>12,.0f} requests/sec"
-            f"  (cache-hit fast path, {serve['requests']} submits over"
-            f" {serve['warm_specs']} warm specs)"
         )
     return "\n".join(lines)
 
@@ -390,14 +313,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="requests in the DRAM microbenchmark (default: %(default)s)",
     )
     parser.add_argument(
-        "--serve", action="store_true",
-        help="run only the experiment-service cache-hit microbenchmark",
-    )
-    parser.add_argument(
-        "--serve-requests", type=int, default=SERVE_BENCH_REQUESTS,
-        help="submits in the serve microbenchmark (default: %(default)s)",
-    )
-    parser.add_argument(
         "--history", type=Path, default=None, metavar="FILE",
         help="benchmark history file to append to "
              "(default: BENCH_history.jsonl next to the report)",
@@ -407,15 +322,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="skip the benchmark-history append",
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.serve:
-        entry = measure_serve(requests=args.serve_requests, repeats=args.repeats)
-        print(
-            f"serve: {entry['requests_per_sec']:,.0f} requests/sec"
-            f" (cache-hit fast path, best of {args.repeats},"
-            f" {entry['requests']} submits over {entry['warm_specs']}"
-            f" warm specs, {entry['jobs_executed']} executed)"
-        )
-        return 0
     if args.dram_only:
         entry = measure_dram(n=args.dram_n, seed=args.seed, repeats=args.repeats)
         print(

@@ -253,20 +253,15 @@ def run_design_matrix(
             specs.append(spec)
 
     if specs:
-        if options.serve:
-            # Route the cells through a running experiment service
-            # instead of a local pool (REPRO_SERVE / --serve).
-            results = _run_via_service(options.serve, specs)
-        else:
-            root = cache_dir()
-            runner = ParallelRunner(
-                jobs=jobs,
-                cache=ResultCache(root / "results") if use_cache else None,
-                timeout=timeout,
-                manifest_dir=root / "manifests",
-                jobs_source=jobs_source,
-            )
-            results = runner.run(specs)
+        root = cache_dir()
+        runner = ParallelRunner(
+            jobs=jobs,
+            cache=ResultCache(root / "results") if use_cache else None,
+            timeout=timeout,
+            manifest_dir=root / "manifests",
+            jobs_source=jobs_source,
+        )
+        results = runner.run(specs)
         for workload, design, job_hash in cells:
             result = results[job_hash]
             matrix[workload][design] = result
@@ -274,22 +269,6 @@ def run_design_matrix(
             if key is not None:
                 _RESULT_CACHE[key] = result
     return matrix
-
-
-def _run_via_service(address: str, specs) -> Dict[str, SimulationResult]:
-    """Execute ``specs`` on a ``repro serve`` instance at ``address``.
-
-    Returns results keyed by content hash, mirroring
-    :meth:`~repro.exec.runner.ParallelRunner.run` so callers cannot tell
-    a served run from a local one.
-    """
-    from ..serve.client import ServeClient
-    from ..serve.protocol import parse_address
-
-    host, port = parse_address(address)
-    with ServeClient(host=host, port=port) as client:
-        results, _manifest = client.submit(specs)
-    return results
 
 
 def run_matrix(

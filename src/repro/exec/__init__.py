@@ -10,7 +10,7 @@ picture.
 """
 
 from .cache import CACHE_VERSION, ResultCache, write_json_atomic
-from .jobs import JobSpec, canonical_config_dict, config_from_dict, make_spec
+from .jobs import JobSpec, canonical_config_dict, make_spec
 from .options import (
     ExecutionOptions,
     auto_jobs,
@@ -19,8 +19,7 @@ from .options import (
     reset_options,
     set_options,
 )
-from .runner import ExecutionError, ParallelRunner
-from .scheduler import InflightJob, InflightTable, dedupe_specs
+from .runner import ExecutionError, ParallelRunner, dedupe_specs
 from .telemetry import (
     MANIFEST_VERSION,
     JobRecord,
@@ -34,8 +33,6 @@ __all__ = [
     "CACHE_VERSION",
     "ExecutionError",
     "ExecutionOptions",
-    "InflightJob",
-    "InflightTable",
     "JobRecord",
     "JobSpec",
     "MANIFEST_VERSION",
@@ -46,7 +43,6 @@ __all__ = [
     "auto_jobs",
     "load_manifest",
     "canonical_config_dict",
-    "config_from_dict",
     "dedupe_specs",
     "get_options",
     "make_spec",

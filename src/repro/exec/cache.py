@@ -105,8 +105,8 @@ class ResultCache:
         """Persist ``result`` for ``spec``; failures are non-fatal.
 
         Returns ``True`` when this call wrote the entry.  When several
-        processes race on one key — two servers, or a server and a batch
-        run, finishing the same deterministic job — the first writer wins
+        processes race on one key — two runs sharing one cache directory
+        that finish the same deterministic job — the first writer wins
         and later writers leave the entry alone: readers holding the
         winner's file open are never swapped to a different inode, and a
         half-corrupt loser can never replace a good entry.  Caching is

@@ -11,7 +11,6 @@ Environment fallbacks::
     REPRO_JOBS_CAP     cap for auto-detected worker count (default 8)
     REPRO_NO_CACHE=1   disable the result cache
     REPRO_JOB_TIMEOUT  per-job timeout, seconds  (default: none)
-    REPRO_SERVE        route matrix runs through a serve server (host:port)
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class ExecutionOptions:
         jobs_source: Where ``jobs`` came from — ``"default"``, ``"env"``,
             ``"flag"`` or ``"auto"`` (cpu-count detection); recorded in
             run manifests so a sweep's parallelism is explainable later.
-        serve: ``host:port`` of a ``repro serve`` server; when set, matrix
-            runs submit their jobs there instead of running locally.
     """
 
     jobs: int = 1
@@ -64,7 +61,6 @@ class ExecutionOptions:
     timeout: Optional[float] = None
     retries: int = 1
     jobs_source: str = "default"
-    serve: Optional[str] = None
 
 
 def options_from_env() -> ExecutionOptions:
@@ -76,7 +72,6 @@ def options_from_env() -> ExecutionOptions:
         use_cache=not os.environ.get("REPRO_NO_CACHE"),
         timeout=float(timeout_raw) if timeout_raw else None,
         jobs_source="env" if jobs_raw else "default",
-        serve=os.environ.get("REPRO_SERVE") or None,
     )
 
 
@@ -96,7 +91,6 @@ def set_options(
     timeout: object = _UNSET,
     retries: object = _UNSET,
     jobs_source: object = _UNSET,
-    serve: object = _UNSET,
 ) -> ExecutionOptions:
     """Override selected fields process-wide; unspecified fields keep
     their current (or environment-derived) values.  Returns the result."""
@@ -115,8 +109,6 @@ def set_options(
         updates["retries"] = max(0, int(retries))  # type: ignore[arg-type]
     if jobs_source is not _UNSET:
         updates["jobs_source"] = str(jobs_source)
-    if serve is not _UNSET:
-        updates["serve"] = serve  # type: ignore[typeddict-item]
     _OPTIONS = replace(current, **updates)  # type: ignore[arg-type]
     return _OPTIONS
 

@@ -1,8 +1,6 @@
-"""The one process pool behind the batch runner and the experiment server.
+"""The process pool behind :class:`~repro.exec.runner.ParallelRunner`.
 
-:class:`WorkerPool` decides, for both
-:class:`~repro.exec.runner.ParallelRunner` and
-:class:`~repro.serve.server.ExperimentServer`:
+:class:`WorkerPool` decides:
 
 * **creation** — a fork-context :class:`ProcessPoolExecutor` opened by the
   first submit (fork carries the active trace context into the workers);
@@ -11,11 +9,10 @@
   pool is killed.  The pool remembers the kill, so the jobs that were
   running beside the wedged one re-run without losing an attempt;
 * **crash** — a dead worker breaks every future of its pool.  The first
-  report counts one crash and retires the pool; later reports from it
-  count nothing and leave the replacement alone.  Every job that was in
-  flight is charged an attempt: the job that crashed cannot be told
-  apart, and charging all of them bounds a job that always crashes by
-  its retry budget.
+  report retires the pool; later reports from it leave the replacement
+  alone.  Every job that was in flight is charged an attempt: the job
+  that crashed cannot be told apart, and charging all of them bounds a
+  job that always crashes by its retry budget.
 """
 
 from __future__ import annotations
@@ -43,15 +40,10 @@ class Generation(ProcessPoolExecutor):
 
 class WorkerPool:
     """A lazily forked process pool, killed on timeout and rebuilt after a
-    crash.
-
-    Attributes:
-        crashes: Executors retired because a worker died.
-    """
+    crash."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.crashes = 0
         self._current: Optional[Generation] = None
 
     def submit(self, fn: Callable, *args) -> Tuple[Future, Generation]:
@@ -100,7 +92,6 @@ class WorkerPool:
             return False
         if generation is self._current:
             self._current = None
-            self.crashes += 1
             generation.shutdown(wait=False)
         return True
 

@@ -27,22 +27,36 @@ produce metric-identical results — the property the determinism test in
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..sim.results import SimulationResult
 from .cache import ResultCache
 from .jobs import JobSpec
 from .pool import Generation, PoolUnavailable, WorkerPool
-from .scheduler import dedupe_specs
 from .telemetry import JobRecord, ProgressTicker, RunReport
 from .worker import run_job
+
+
+def dedupe_specs(specs: Iterable[JobSpec]) -> List[Tuple[str, JobSpec]]:
+    """Collapse duplicate specs (same content hash), preserving order.
+
+    Returns the ordered unique ``(content_hash, spec)`` pairs.  The number
+    of collapsed duplicates is ``len(specs) - len(returned)``.
+    """
+    ordered: List[Tuple[str, JobSpec]] = []
+    seen = set()
+    for spec in specs:
+        job_hash = spec.content_hash()
+        if job_hash not in seen:
+            seen.add(job_hash)
+            ordered.append((job_hash, spec))
+    return ordered
 
 
 class ExecutionError(RuntimeError):
@@ -118,14 +132,12 @@ class ParallelRunner:
         results: Dict[str, SimulationResult] = {}
         ticker = ProgressTicker(len(ordered), enabled=self.ticker_enabled)
         recorder = obs.SpanRecorder("exec.run") if obs.enabled() else None
-        # Trace context: one run_id for the whole sweep, propagated into
-        # worker processes (fork inherits the active context; spawn reads
-        # the env mirror) so per-job artifacts can be merged back into one
+        # Trace context: one run_id for the whole sweep, inherited by the
+        # forked workers so per-job artifacts can be merged back into one
         # run-level Chrome trace.  Obs off → no context, no artifacts.
         context = None
         if recorder is not None:
-            context = obs.TraceContext(run_id=obs.new_run_id(),
-                                       origin="exec.run", root_pid=os.getpid())
+            context = obs.TraceContext(run_id=obs.new_run_id(), origin="exec.run")
             report.run_id = context.run_id
 
         with obs.propagated(context), obs.recording(recorder):

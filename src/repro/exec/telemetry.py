@@ -82,7 +82,7 @@ class RunReport:
 
     jobs_requested: int = 1
     workers: int = 1
-    mode: str = "serial"  # "serial" | "pool" | "pool+serial" | "serve"
+    mode: str = "serial"  # "serial" | "pool" | "pool+serial"
     #: Where the worker count came from ("default", "env", "flag", "auto",
     #: "explicit") — makes a manifest's parallelism explainable later.
     jobs_source: str = "explicit"

@@ -49,7 +49,7 @@ from .spans import (
     span,
 )
 from .timeseries import SimSampler, TimeSeries, sample_interval
-from .tracectx import TRACE_ENV, TraceContext, new_run_id, propagated
+from .tracectx import TraceContext, new_run_id, propagated
 from .tracectx import current as current_context
 
 #: Environment switch; "0"/"false"/"no"/"" count as off.
@@ -130,7 +130,6 @@ __all__ = [
     "SimSampler",
     "Span",
     "SpanRecorder",
-    "TRACE_ENV",
     "TimeSeries",
     "TraceContext",
     "WALL_TIME_BUCKETS_S",

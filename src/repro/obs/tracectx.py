@@ -1,40 +1,30 @@
 """Cross-process trace context: one ``run_id`` for a whole sweep.
 
 A :class:`TraceContext` names the run that a job belongs to (``run_id``)
-and the component that launched it (``origin`` — ``exec.run`` for a local
-:class:`~repro.exec.runner.ParallelRunner` sweep, ``serve`` for jobs
-executed by the experiment service).  The orchestrator activates a context
-before fanning work out; workers read it back and stamp ``run_id`` plus
-their own pid into the per-job observability artifacts, which is what lets
-:mod:`repro.obs.merge` stitch the per-process span trees into one run-level
-Chrome trace with correct pid/tid attribution.
+and the component that launched it (``origin`` — ``exec.run`` for a
+:class:`~repro.exec.runner.ParallelRunner` sweep).  The orchestrator
+activates a context before fanning work out; workers read it back and
+stamp ``run_id`` plus their own pid into the per-job observability
+artifacts, which is what lets :mod:`repro.obs.merge` stitch the
+per-process span trees into one run-level Chrome trace with correct
+pid/tid attribution.
 
-Propagation works through **two redundant channels** so every executor
-shape is covered:
+The context lives in a module-level global.  The runner's
+:class:`~repro.exec.pool.WorkerPool` forks its workers *after* the
+context is activated, so every worker inherits it.
 
-* a module-level global — inherited by ``fork``-start worker processes
-  (the :class:`~repro.exec.pool.WorkerPool` that the runner and the
-  server share forks *after* the context is activated) and trivially
-  shared with thread executors;
-* the ``REPRO_TRACE_CTX`` environment variable (JSON) — survives ``spawn``
-  starts and lets externally launched helpers join a run.
-
-Activation is cheap (one dict assignment and one env write per *run*, not
-per job) and happens regardless of the ``REPRO_OBS`` switch: with
-observability off, workers never look at the context, so the obs-off
-byte-identity contract is untouched.
+Activation is cheap (one assignment per *run*, not per job) and happens
+regardless of the ``REPRO_OBS`` switch: with observability off, workers
+never look at the context, so the obs-off byte-identity contract is
+untouched.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-#: Environment carrier for the active context (JSON payload).
-TRACE_ENV = "REPRO_TRACE_CTX"
 
 _ACTIVE: Optional["TraceContext"] = None
 
@@ -44,28 +34,8 @@ class TraceContext:
     """Identity of one run, carried from orchestrator to workers."""
 
     run_id: str
-    #: The component that started the run ("exec.run", "serve", ...).
+    #: The component that started the run.
     origin: str = "exec.run"
-    #: Pid of the orchestrating process (the manifest writer).
-    root_pid: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"run_id": self.run_id, "origin": self.origin,
-             "root_pid": self.root_pid},
-            sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> Optional["TraceContext"]:
-        try:
-            data = json.loads(text)
-        except (TypeError, ValueError):
-            return None
-        if not isinstance(data, dict) or "run_id" not in data:
-            return None
-        return cls(run_id=str(data["run_id"]),
-                   origin=str(data.get("origin", "exec.run")),
-                   root_pid=int(data.get("root_pid", 0)))
 
 
 def new_run_id(prefix: str = "run") -> str:
@@ -76,33 +46,20 @@ def new_run_id(prefix: str = "run") -> str:
 
 
 def activate(ctx: Optional[TraceContext]) -> Optional[TraceContext]:
-    """Install ``ctx`` as the process's active context; returns the old one.
-
-    Also mirrors the context into ``REPRO_TRACE_CTX`` (or removes the
-    variable when ``ctx`` is ``None``) so spawned subprocesses inherit it.
-    """
+    """Install ``ctx`` as the process's active context; returns the old one."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = ctx
-    if ctx is None:
-        os.environ.pop(TRACE_ENV, None)
-    else:
-        os.environ[TRACE_ENV] = ctx.to_json()
     return previous
 
 
 def current() -> Optional[TraceContext]:
-    """The active context: the installed one, else the environment's."""
-    if _ACTIVE is not None:
-        return _ACTIVE
-    text = os.environ.get(TRACE_ENV)
-    if not text:
-        return None
-    return TraceContext.from_json(text)
+    """The active context, if any."""
+    return _ACTIVE
 
 
 def reset() -> None:
-    """Drop any installed context and the env mirror (tests)."""
+    """Drop any installed context (tests)."""
     activate(None)
 
 

@@ -183,9 +183,8 @@ class SimulationResult:
             "dram_requests": self.traffic.total,
             "mt_reads": self.traffic.mt_reads,
         }
-        # Sorted so table columns are stable regardless of how the result
-        # was produced — locally, or round-tripped through the experiment
-        # service's canonical (sorted-keys) wire format.
+        # Sorted so table columns are stable regardless of the order in
+        # which ``extra`` was filled.
         data.update({key: round(value, 4)
                      for key, value in sorted(self.extra.items())})
         return data

@@ -80,7 +80,6 @@ def preferential_attachment_graph(
     adjacency: List[List[int]] = [[] for _ in range(num_vertices)]
     # Repeated-endpoint pool implements degree-proportional sampling.
     endpoint_pool: List[int] = [0]
-    adjacency_sets: List[set] = [set() for _ in range(num_vertices)]
     for vertex in range(1, num_vertices):
         attach = min(edges_per_vertex, vertex)
         targets: set = set()
@@ -90,13 +89,11 @@ def preferential_attachment_graph(
                 targets.add(candidate)
             elif len(targets) + 1 >= vertex:  # avoid livelock on tiny graphs
                 break
+        # ``vertex`` has no edges before this loop and ``targets`` is a
+        # set, so every edge is new.
         for target in targets:
-            if target in adjacency_sets[vertex]:
-                continue
             adjacency[vertex].append(target)
             adjacency[target].append(vertex)
-            adjacency_sets[vertex].add(target)
-            adjacency_sets[target].add(vertex)
             endpoint_pool.append(vertex)
             endpoint_pool.append(target)
     if shuffle_labels:

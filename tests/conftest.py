@@ -28,7 +28,7 @@ def _hermetic_exec_env(monkeypatch):
     for var in ("REPRO_QUICK", "REPRO_JOBS", "REPRO_NO_CACHE", "REPRO_JOB_TIMEOUT",
                 "REPRO_TRACE_LEN", "REPRO_GRAPH_SCALE", "REPRO_CACHE_DIR",
                 "REPRO_OBS", "REPRO_OBS_INTERVAL", "REPRO_LOG", "REPRO_NO_TICKER",
-                "REPRO_SERVE", "REPRO_JOBS_CAP", "REPRO_TRACE_CTX"):
+                "REPRO_JOBS_CAP"):
         monkeypatch.delenv(var, raising=False)
     reset_options()
     obs.reset()

@@ -17,7 +17,6 @@ from repro.bench.perf import (
     format_report,
     main,
     measure_dram,
-    measure_serve,
     run_benchmark,
     write_report,
 )
@@ -43,8 +42,7 @@ ENTRY_KEYS = {
 
 
 def test_run_benchmark_payload_schema():
-    payload = run_benchmark(designs=("np", "cosmos"), n=3000, repeats=1,
-                            serve=False)
+    payload = run_benchmark(designs=("np", "cosmos"), n=3000, repeats=1)
     assert payload["schema"] == SCHEMA
     assert PAYLOAD_KEYS <= set(payload)
     assert payload["trace"]["kind"] == "zipf"
@@ -66,24 +64,9 @@ def test_dram_microbench_entry():
     assert 0.0 < entry["row_hit_rate"] < 1.0
     assert entry["avg_read_latency"] > 0
     assert entry["avg_write_latency"] > 0
-    payload = run_benchmark(designs=("np",), n=2000, repeats=1, serve=False)
+    payload = run_benchmark(designs=("np",), n=2000, repeats=1)
     assert set(payload["dram_microbench"]) == set(entry)
     assert "requests/sec" in format_report(payload)
-
-
-def test_serve_microbench_entry():
-    entry = measure_serve(requests=40, warm_specs=4, repeats=1)
-    assert entry["requests"] == 40
-    assert entry["warm_specs"] == 4
-    assert entry["best_seconds"] > 0
-    assert entry["requests_per_sec"] > 0
-    # Every timed submit must be a cache hit: only the warm-up executes.
-    assert entry["jobs_executed"] == 4
-
-
-def test_serve_only_cli(capsys):
-    assert main(["--serve", "--serve-requests", "40", "--repeats", "1"]) == 0
-    assert "requests/sec" in capsys.readouterr().out
 
 
 def test_dram_only_cli(capsys):
@@ -100,7 +83,6 @@ def test_cli_writes_valid_report(tmp_path, capsys):
     loaded = json.loads(output.read_text())
     assert loaded["schema"] == SCHEMA
     assert set(loaded["results"]) == {"np"}
-    assert loaded["serve_microbench"]["requests_per_sec"] > 0
     assert capsys.readouterr().out  # human summary printed alongside the JSON
 
 

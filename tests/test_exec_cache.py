@@ -115,8 +115,8 @@ def test_racing_writers_keep_the_first_winner(tmp_path):
     spec = make_job()
     first, second = make_result(cycles=111.0), make_result(cycles=222.0)
     assert cache.put(spec, first) is True
-    # A second writer (another server process, or a batch run finishing the
-    # same deterministic job) must leave the winner's entry alone.
+    # A second writer (another run sharing the cache directory, finishing
+    # the same deterministic job) must leave the winner's entry alone.
     assert cache.put(spec, second) is False
     loaded = cache.get(spec.content_hash())
     assert loaded is not None and loaded.cycles == 111.0

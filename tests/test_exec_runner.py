@@ -1,7 +1,9 @@
-"""Tests for the parallel runner: fallback, retry, timeout, determinism."""
+"""Tests for the parallel runner and its worker pool: fallback, retry,
+timeout, crash accounting, determinism."""
 
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from repro.exec import (
     ResultCache,
     make_spec,
 )
+from repro.exec.pool import WorkerPool
 from repro.sim.config import small_test_config
 
 
@@ -49,6 +52,19 @@ def _hang_once_job(spec):
 
 def _crash_job(spec):
     os._exit(3)
+
+
+def _crash_once_job(spec):
+    # Seed 1 crashes its worker on its first attempt; seed 2 works 1.5 s,
+    # so it is still running on the same pool when the crash breaks it.
+    marker = Path(spec.workload) / "crashed"
+    if spec.seed == 1 and not marker.exists():
+        time.sleep(0.3)
+        marker.write_text("seed 1")
+        os._exit(13)
+    if spec.seed == 2:
+        time.sleep(1.5)
+    return f"done:{spec.seed}"
 
 
 def _wedge_or_work_job(spec):
@@ -202,6 +218,41 @@ def test_worker_crash_is_reported_as_a_crash():
     record = runner.report.records[0]
     assert record.status == "failed" and record.attempts == 2
     assert "worker crashed" in record.error
+
+
+def test_crash_beside_a_running_job_charges_both_one_attempt(tmp_path):
+    specs = [make_job(workload=str(tmp_path), seed=seed) for seed in (1, 2)]
+    runner = ParallelRunner(jobs=2, timeout=30.0, retries=1,
+                            fn=_crash_once_job, ticker=False)
+    out = runner.run(specs)
+    assert out == {spec.content_hash(): f"done:{spec.seed}" for spec in specs}
+    # The crash broke both jobs' pool: each is charged an attempt and
+    # succeeds on its retry.
+    assert [(record.status, record.attempts)
+            for record in runner.report.records] == [("ok", 2), ("ok", 2)]
+
+
+def test_pool_judges_every_report_from_a_crashed_generation():
+    pool = WorkerPool(2)
+    try:
+        crash, crashed = pool.submit(_crash_job, make_job(seed=1))
+        beside, same = pool.submit(_hang_job, make_job(seed=2))
+        assert same is crashed
+        for future in (crash, beside):
+            with pytest.raises(BrokenProcessPool):
+                future.result(timeout=30)
+        # The first report retires the crashed generation.
+        assert pool.crashed(crashed)
+        benign, replacement = pool.submit(_echo_job, make_job(seed=3))
+        assert replacement is not crashed
+        # A later report from it is still a crash, and the replacement
+        # stays current.
+        assert pool.crashed(crashed)
+        _, again = pool.submit(_echo_job, make_job(seed=4))
+        assert again is replacement
+        assert benign.result(timeout=30) == "done:np/dfs"
+    finally:
+        pool.close()
 
 
 def test_job_killed_beside_a_timeout_reruns_without_an_attempt():

@@ -1,10 +1,6 @@
-"""Tests for the shared scheduling primitives and worker auto-detection."""
+"""Tests for submission dedupe and worker auto-detection."""
 
-import threading
-
-import pytest
-
-from repro.exec import InflightTable, JobSpec, auto_jobs, dedupe_specs
+from repro.exec import JobSpec, auto_jobs, dedupe_specs
 from repro.exec.options import DEFAULT_JOBS_CAP
 from repro.sim.config import small_test_config
 
@@ -28,81 +24,6 @@ def test_dedupe_preserves_order_and_collapses():
 
 def test_dedupe_empty():
     assert dedupe_specs([]) == []
-
-
-# ----------------------------------------------------------------------
-# InflightTable
-# ----------------------------------------------------------------------
-def test_claim_leader_then_followers():
-    table = InflightTable()
-    spec = make_job()
-    led, job = table.claim("h1", spec)
-    assert led and job.followers == 0 and not job.done
-    led2, job2 = table.claim("h1", spec)
-    assert not led2 and job2 is job and job.followers == 1
-    assert table.led == 1 and table.joined == 1
-    assert len(table) == 1
-
-
-def test_resolve_wakes_followers_and_clears_entry():
-    table = InflightTable()
-    _, job = table.claim("h1", make_job())
-    seen = []
-
-    def follower():
-        assert job.wait(timeout=5)
-        seen.append(job.result)
-
-    thread = threading.Thread(target=follower)
-    thread.start()
-    table.resolve("h1", "the-result")
-    thread.join(timeout=5)
-    assert seen == ["the-result"]
-    assert job.done and job.error is None
-    assert table.get("h1") is None  # next claim starts fresh
-    assert len(table) == 0
-
-
-def test_fail_propagates_error():
-    table = InflightTable()
-    _, job = table.claim("h1", make_job())
-    error = RuntimeError("boom")
-    table.fail("h1", error)
-    assert job.done and job.error is error and job.result is None
-
-
-def test_finish_unknown_hash_raises():
-    table = InflightTable()
-    with pytest.raises(KeyError):
-        table.resolve("nope", 1)
-
-
-def test_claim_after_resolve_is_a_fresh_lead():
-    table = InflightTable()
-    table.claim("h1", make_job())
-    table.resolve("h1", "r1")
-    led, job = table.claim("h1", make_job())
-    assert led and not job.done
-    assert table.led == 2
-
-
-def test_concurrent_claims_elect_exactly_one_leader():
-    table = InflightTable()
-    spec = make_job()
-    outcomes = []
-    barrier = threading.Barrier(8)
-
-    def contender():
-        barrier.wait()
-        led, _ = table.claim("h", spec)
-        outcomes.append(led)
-
-    threads = [threading.Thread(target=contender) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=5)
-    assert sum(outcomes) == 1 and len(outcomes) == 8
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro import obs
 from repro.obs import tracectx
 from repro.obs.artifacts import obs_root, write_job_artifacts
 from repro.obs.merge import merge_events, merge_manifest, spans_to_events
-from repro.obs.tracectx import TRACE_ENV, TraceContext, new_run_id
+from repro.obs.tracectx import TraceContext, new_run_id
 
 
 # ----------------------------------------------------------------------
@@ -21,32 +21,6 @@ def test_run_ids_are_unique_and_prefixed():
     assert len(ids) == 32
     assert all(i.startswith("run-") for i in ids)
     assert new_run_id("serve").startswith("serve-")
-
-
-def test_context_round_trips_through_json():
-    ctx = TraceContext(run_id="run-x", origin="serve", root_pid=42)
-    assert TraceContext.from_json(ctx.to_json()) == ctx
-    assert TraceContext.from_json("not json") is None
-    assert TraceContext.from_json(json.dumps({"origin": "serve"})) is None
-
-
-def test_activate_mirrors_into_environment():
-    ctx = TraceContext(run_id="run-env", root_pid=1)
-    previous = tracectx.activate(ctx)
-    try:
-        assert previous is None
-        assert tracectx.current() == ctx
-        assert TraceContext.from_json(os.environ[TRACE_ENV]) == ctx
-    finally:
-        tracectx.activate(previous)
-    assert tracectx.current() is None
-    assert TRACE_ENV not in os.environ
-
-
-def test_current_falls_back_to_environment(monkeypatch):
-    ctx = TraceContext(run_id="run-spawned", origin="exec.run", root_pid=7)
-    monkeypatch.setenv(TRACE_ENV, ctx.to_json())
-    assert tracectx.current() == ctx
 
 
 def test_propagated_accepts_none_and_restores():
