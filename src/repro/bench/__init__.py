@@ -3,7 +3,6 @@
 from . import experiments
 from .charts import bar_chart, series_chart, sparkline
 from .export import export_experiment, read_json, write_csv, write_json, write_markdown
-from .perf import profile_design, run_benchmark
 from .report import format_table, geometric_mean, print_experiment
 from .runner import default_config, get_trace, run_design, run_matrix, trace_length
 from .stats import SampleSummary, SeededComparison, compare_over_seeds
@@ -28,8 +27,6 @@ __all__ = [
     "geometric_mean",
     "get_trace",
     "print_experiment",
-    "profile_design",
-    "run_benchmark",
     "run_design",
     "run_matrix",
     "trace_length",

@@ -1,365 +1,261 @@
-"""Tracked hot-path performance harness.
+"""Paired perfbench runs of this checkout against a git revision.
 
-Measures end-to-end simulator throughput (accesses/second) per design on a
-fixed, seeded microbenchmark trace and writes a machine-readable report —
-``BENCH_hotpath.json`` at the repo root — so hot-path regressions show up
-as a number in the diff rather than as a vague "it feels slower".
+A shared host's speed can drift by up to 2x between sessions, so a speed
+claim is a paired ratio from runs interleaved in one session, never a
+comparison with numbers pinned earlier.  The command extracts REV with
+``git archive`` and runs the unchanged ``perfbench/run.py --trace 0`` in REV's
+tree and in this checkout as pairs, REV first in even-numbered pairs.
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  Every end-to-end
+metric of ``BENCHMARK.json`` gets one verdict per workload (see
+:func:`verdict`), and the design work fingerprints of the two trees are
+compared.
 
-The measured path is the same one every experiment takes:
-``Simulator.run`` over an array-native :class:`~repro.workloads.trace.Trace`
-via ``design.process_fast``.  The workload is a Zipf-popularity trace
-(``zipf_trace``) under the harness's standard scaled paper configuration,
-so cache/CTR behaviour is representative of the figure reproductions.
+Usage, from inside the repository::
 
-Usage::
+    python -m repro.bench.perf --against REV [--workload W ...] [--pairs 10] [--seed 1]
 
-    python -m repro.bench.perf                    # measure, write report
-    python -m repro.bench.perf --designs cosmos   # subset of designs
-    python -m repro.bench.perf --profile cosmos   # cProfile top-N instead
-    python -m repro.bench.perf --obs-check        # obs on/off overhead ratio
-
-or via the pytest-benchmark wrapper ``benchmarks/bench_hotpath.py``.
+The last line of the output is one JSON object.  Exit status: 2 when REV
+has no ``perfbench/`` or its ``perfbench/`` or ``BENCHMARK.json`` differs
+from this checkout's (nothing runs); 1 when a run was not ``correct`` or
+a verdict is ``regression``; 0 otherwise.  For a per-function profile,
+run ``python -m cProfile -s tottime perfbench/run.py --workload ml-dlrm
+--seconds 5``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
 import json
-import platform
-import pstats
-import random
-import time
+import statistics
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
-from ..mem.dram import DramModel
-from ..sim.config import SimulationConfig
-from ..sim.simulator import Simulator, build_design
-from ..workloads.micro import zipf_trace
-from ..workloads.trace import Trace
-from .runner import default_config
-
-#: Report schema identifier; bump on incompatible payload changes.
-#: v3: one entry per design, keyed by design name, with no ``path`` key
-#: (v2 also carried ``design@path`` entries for other dispatch paths).
-SCHEMA = "repro.bench.perf/v3"
-
-#: Designs tracked by default: the unprotected bound, the secure baseline
-#: and the full COSMOS design (slowest hot path — RL + predictor on top).
-DEFAULT_DESIGNS = ("np", "morphctr", "cosmos")
-
-#: Fixed trace parameters — the report is only comparable run-to-run
-#: because these never drift silently.
-TRACE_N = 100_000
-TRACE_SEED = 42
-TRACE_WRITE_FRACTION = 0.3
-
-#: Default report location: the repository root (two levels above src/).
-DEFAULT_OUTPUT = "BENCH_hotpath.json"
-
-#: Requests in the DRAM-only microbenchmark (the bank-state model is the
-#: innermost hot-path call, so it gets its own tracked number).
-DRAM_BENCH_N = 200_000
+#: Files REV must have, and must have identical to this checkout, so that
+#: both trees are measured by the same benchmark.
+BENCHMARK_FILES = ("perfbench/run.py", "BENCHMARK.json")
 
 
-def hotpath_trace(
-    n: int = TRACE_N,
-    seed: int = TRACE_SEED,
-    write_fraction: float = TRACE_WRITE_FRACTION,
-) -> Trace:
-    """The harness's fixed seeded workload (Zipf popularity, mixed R/W)."""
-    return zipf_trace(n=n, seed=seed, write_fraction=write_fraction)
+class RevisionError(Exception):
+    """REV cannot be compared with this checkout."""
 
 
-def measure_design(
-    design_name: str,
-    trace: Trace,
-    config: Optional[SimulationConfig] = None,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time ``design_name`` over ``trace``; returns one report entry.
+@dataclass
+class Run:
+    """The parsed output of one ``perfbench/run.py`` run."""
 
-    Each repeat builds a fresh design (designs are stateful) and runs the
-    whole trace; the *best* wall-clock time is reported, which is the
-    standard way to suppress scheduler noise in throughput benchmarks.
-    Key simulation metrics ride along so a perf change that accidentally
-    shifts behaviour is visible in the same diff.
+    correct: bool
+    metrics: Dict[str, float]
+    #: Design name -> its ``work`` fingerprint line (JSON).
+    work: Dict[str, str]
+
+
+def tally(rev: Sequence[float], this: Sequence[float], better: str) -> Tuple[int, int, int]:
+    """Pairs won, lost and tied by this checkout; pair ``i`` is ``rev[i]``, ``this[i]``."""
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (t - r) > 0 for r, t in zip(rev, this))
+    lost = sum(sign * (t - r) < 0 for r, t in zip(rev, this))
+    return won, lost, len(rev) - won - lost
+
+
+def verdict(rev: Sequence[float], this: Sequence[float], better: str, bound: float) -> str:
+    """The simplicity-review verdict on one metric of one workload.
+
+    ``rev[i]`` and ``this[i]`` are pair ``i``; quartiles are
+    ``statistics.quantiles(values, n=4)``.
+
+    * ``gain``: this checkout wins at least 0.9 of the pairs (ties count
+      for neither side) and the medians differ in the ``better`` direction
+      by more than REV's interquartile range;
+    * ``regression``: not a gain, and this checkout's median is worse than
+      REV's by more than ``bound`` of REV's median;
+    * ``unresolved``: neither, either side's IQR / median exceeds
+      ``bound``, and not every run of this checkout beats every run of REV;
+    * ``unchanged``: everything else.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    config = config if config is not None else default_config()
-    arrays = trace.arrays()  # materialise outside the timed region
-    runs: List[float] = []
-    result = None
-    # Observability is force-disabled for the timed region so the tracked
-    # baseline never silently includes instrumentation cost; the obs-check
-    # mode below measures the enabled path explicitly.
-    with obs.overridden(False):
-        for _ in range(repeats):
-            design = build_design(design_name, config)
-            simulator = Simulator(design, config, workload=trace.name)
-            started = time.perf_counter()
-            result = simulator.run(arrays)
-            runs.append(time.perf_counter() - started)
-    best = min(runs)
-    assert result is not None
-    return {
-        "accesses": result.accesses,
-        "best_seconds": best,
-        "runs_seconds": runs,
-        "accesses_per_sec": result.accesses / best if best > 0 else 0.0,
-        "cycles": result.cycles,
-        "total_latency": result.total_latency,
-        "ctr_miss_rate": result.ctr_miss_rate,
-    }
+    sign = 1 if better == "higher" else -1
+    won, _, _ = tally(rev, this, better)
+    rev_q1, rev_median, rev_q3 = statistics.quantiles(rev, n=4)
+    this_q1, this_median, this_q3 = statistics.quantiles(this, n=4)
+    change = sign * (this_median - rev_median)
+    if 10 * won >= 9 * len(rev) and change > rev_q3 - rev_q1:
+        return "gain"
+    if change < -bound * rev_median:
+        return "regression"
+    noisy = max((rev_q3 - rev_q1) / rev_median, (this_q3 - this_q1) / this_median) > bound
+    beats_all = min(sign * t for t in this) > max(sign * r for r in rev)
+    return "unresolved" if noisy and not beats_all else "unchanged"
 
 
-def measure_dram(
-    n: int = DRAM_BENCH_N,
-    seed: int = TRACE_SEED,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time bare ``DramModel.request`` over a seeded mixed stream.
-
-    Every protected-memory access fans out into several DRAM requests
-    (data, CTR, MT nodes, MAC), so :meth:`DramModel.request` is the
-    innermost hot-path call; tracking it in isolation separates "the bank
-    state machine got slower" from "a design got slower".  The stream
-    mixes short sequential runs (row hits) with random jumps (row misses)
-    and the standard write fraction, advancing ``now`` in program order
-    like the designs do.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    rng = random.Random(seed)
-    blocks: List[int] = []
-    writes: List[bool] = []
-    block = 0
-    while len(blocks) < n:
-        block = rng.randrange(1 << 24)
-        for offset in range(rng.randrange(1, 8)):
-            blocks.append(block + offset)
-            writes.append(rng.random() < TRACE_WRITE_FRACTION)
-    del blocks[n:], writes[n:]
-    best = float("inf")
-    model = DramModel()
-    for _ in range(repeats):
-        model = DramModel()
-        request = model.request
-        now = 0
-        started = time.perf_counter()
-        for address, is_write in zip(blocks, writes):
-            now += 1 + request(address, is_write, now)
-        best = min(best, time.perf_counter() - started)
-    stats = model.stats
-    return {
-        "requests": n,
-        "best_seconds": best,
-        "requests_per_sec": n / best if best > 0 else 0.0,
-        "row_hit_rate": stats.row_hit_rate,
-        "avg_read_latency": model.average_read_latency(),
-        "avg_write_latency": model.average_write_latency(),
-    }
+def _git(root: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
 
 
-def run_benchmark(
-    designs: Sequence[str] = DEFAULT_DESIGNS,
-    n: int = TRACE_N,
-    seed: int = TRACE_SEED,
-    repeats: int = 3,
-    config: Optional[SimulationConfig] = None,
-) -> Dict[str, object]:
-    """Measure every design and assemble the full report payload."""
-    trace = hotpath_trace(n=n, seed=seed)
-    results: Dict[str, object] = {}
-    for name in designs:
-        results[name] = measure_design(name, trace, config=config, repeats=repeats)
-    return {
-        "schema": SCHEMA,
-        "generated_unix": int(time.time()),
-        "python": platform.python_version(),
-        "trace": {
-            "kind": "zipf",
-            "n": n,
-            "seed": seed,
-            "write_fraction": TRACE_WRITE_FRACTION,
-        },
-        "repeats": repeats,
-        "results": results,
-        "dram_microbench": measure_dram(seed=seed, repeats=repeats),
-    }
+def check_revision(root: Path, rev: str) -> str:
+    """The commit ``rev`` names, once it is known to run the same benchmark."""
+    resolved = _git(root, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+    if resolved.returncode:
+        raise RevisionError(f"{rev} is not a commit")
+    commit = resolved.stdout.strip()
+    for name in BENCHMARK_FILES:
+        if _git(root, "cat-file", "-e", f"{commit}:{name}").returncode:
+            raise RevisionError(f"{rev} has no {name}")
+    diff = _git(root, "diff", "--name-only", commit, "--", "perfbench", "BENCHMARK.json")
+    if diff.returncode:
+        raise RevisionError(diff.stderr.strip())
+    if diff.stdout.strip():
+        raise RevisionError(f"{rev} runs a different benchmark: {' '.join(diff.stdout.split())}"
+                            " differ")
+    return commit
 
 
-def write_report(payload: Dict[str, object], path: Path) -> None:
-    """Write the report as stable, diff-friendly JSON."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def extract(root: Path, commit: str, dest: Path) -> None:
+    """Write the tree of ``commit`` into ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def format_report(payload: Dict[str, object]) -> str:
-    """Human-readable one-line-per-design summary of a report payload."""
-    lines = []
-    for name, entry in payload["results"].items():  # type: ignore[union-attr]
-        lines.append(
-            f"{name:>10}: {entry['accesses_per_sec']:>12,.0f} accesses/sec"
-            f"  (best of {len(entry['runs_seconds'])}:"
-            f" {entry['best_seconds']:.3f}s for {entry['accesses']:,} accesses)"
-        )
-    dram = payload.get("dram_microbench")
-    if dram:
-        lines.append(
-            f"{'dram':>10}: {dram['requests_per_sec']:>12,.0f} requests/sec"
-            f"  (row hit {dram['row_hit_rate']:.2f},"
-            f" read {dram['avg_read_latency']:.1f}cyc,"
-            f" write {dram['avg_write_latency']:.1f}cyc)"
-        )
-    return "\n".join(lines)
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> Run:
+    """One ``perfbench/run.py --trace 0`` run in ``tree``."""
+    process = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = process.stdout.splitlines()
+    try:
+        report = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        report = {}
+    work = {}
+    for line in lines:
+        if line.startswith("work "):
+            design, _, fingerprint = line[len("work "):].partition(": ")
+            work[design] = fingerprint
+    correct = process.returncode == 0 and report.get("correct") is True
+    if not correct:
+        print(f"perfbench in {tree} ({workload}) was not correct:\n{process.stderr[-2000:]}",
+              file=sys.stderr)
+    metrics = {name: entry["value"] for name, entry in report.get("metrics", {}).items()}
+    return Run(correct, metrics, work)
 
 
-def obs_overhead_check(
-    design_name: str = "cosmos",
-    n: int = TRACE_N,
-    seed: int = TRACE_SEED,
-    repeats: int = 3,
-    config: Optional[SimulationConfig] = None,
-) -> Dict[str, float]:
-    """Measure throughput with observability off vs. on.
-
-    Returns ``{"off": acc/s, "on": acc/s, "on_off_ratio": on/off}`` — the
-    "zero-overhead-when-off" budget is enforced against the *off* number
-    (vs. the committed baseline), while the ratio quantifies what turning
-    sampling on costs (expected: a few percent at the default window).
-    """
-    config = config if config is not None else default_config()
-    trace = hotpath_trace(n=n, seed=seed)
-    arrays = trace.arrays()
-    timings: Dict[str, float] = {}
-    for label, switch in (("off", False), ("on", True)):
-        best = float("inf")
-        with obs.overridden(switch):
-            for _ in range(repeats):
-                design = build_design(design_name, config)
-                simulator = Simulator(design, config, workload=trace.name)
-                started = time.perf_counter()
-                simulator.run(arrays)
-                best = min(best, time.perf_counter() - started)
-        timings[label] = n / best if best > 0 else 0.0
-    timings["on_off_ratio"] = (
-        timings["on"] / timings["off"] if timings["off"] else 0.0
-    )
-    return timings
+def compare(root: Path, commit: str, spec: dict, workloads: Sequence[str], pairs: int,
+            seed: int) -> Dict[str, Dict[str, List[Run]]]:
+    """Interleaved runs of both trees: workload -> {"rev", "this"} -> runs."""
+    runs = {workload: {"rev": [], "this": []} for workload in workloads}
+    with tempfile.TemporaryDirectory(prefix="perf-against-") as scratch:
+        trees = {"rev": Path(scratch), "this": root}
+        extract(root, commit, trees["rev"])
+        for pair in range(pairs):
+            for workload in workloads:
+                for side in ("rev", "this") if pair % 2 == 0 else ("this", "rev"):
+                    run = run_perfbench(trees[side], workload, seed, spec["run_seconds"])
+                    runs[workload][side].append(run)
+                    print(f"pair {pair + 1}/{pairs} {workload} {side}:"
+                          f" {'correct' if run.correct else 'NOT CORRECT'}", file=sys.stderr)
+    return runs
 
 
-def profile_design(
-    design_name: str,
-    n: int = TRACE_N,
-    seed: int = TRACE_SEED,
-    top: int = 25,
-    config: Optional[SimulationConfig] = None,
-) -> str:
-    """cProfile one design over the fixed trace; returns the top-N table."""
-    config = config if config is not None else default_config()
-    arrays = hotpath_trace(n=n, seed=seed).arrays()
-    design = build_design(design_name, config)
-    simulator = Simulator(design, config)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    simulator.run(arrays)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buffer.getvalue()
+def summarise(spec: dict, runs: Dict[str, Dict[str, List[Run]]]) -> Dict[str, dict]:
+    """Per workload: fingerprint agreement and each end-to-end metric's verdict."""
+    report = {}
+    for workload, sides in runs.items():
+        fingerprints = {side: {item for run in side_runs for item in run.work.items()}
+                        for side, side_runs in sides.items()}
+        differ = sorted({design for design, _ in fingerprints["rev"] ^ fingerprints["this"]})
+        metrics = {}
+        for entry in spec["end_to_end"]:
+            name = entry["name"]
+            paired = [(rev.metrics[name], this.metrics[name])
+                      for rev, this in zip(sides["rev"], sides["this"])
+                      if name in rev.metrics and name in this.metrics]
+            if len(paired) < 2:
+                metrics[name] = {"verdict": None, "pairs": len(paired)}
+                continue
+            rev_values, this_values = zip(*paired)
+            won, lost, tied = tally(rev_values, this_values, entry["better"])
+            metrics[name] = {
+                "verdict": verdict(rev_values, this_values, entry["better"], entry["bound"]),
+                "ratio": statistics.median(t / r for r, t in paired),
+                "won": won, "lost": lost, "tied": tied,
+                "rev": statistics.quantiles(rev_values, n=4),
+                "this": statistics.quantiles(this_values, n=4),
+            }
+        report[workload] = {"work_identical": bool(fingerprints["rev"]) and not differ,
+                            "work_differs": differ, "metrics": metrics}
+    return report
 
 
-def main(argv: Optional[Iterable[str]] = None) -> int:
+def print_report(rev: str, pairs: int, report: Dict[str, dict]) -> None:
+    """One table per workload: both sides' quartiles, ratio, pairs and verdict."""
+    for workload, entry in report.items():
+        work = ("identical" if entry["work_identical"]
+                else "NOT identical (" + ", ".join(entry["work_differs"] or ["missing"]) + ")")
+        print(f"\n{workload}: {pairs} pairs against {rev}; work fingerprints {work}")
+        print(f"  {'metric':<20} {'REV median [q1, q3]':>30} {'this median [q1, q3]':>30}"
+              f" {'this/REV':>9} {'won/lost/tied':>14}  verdict")
+        for name, metric in entry["metrics"].items():
+            if metric["verdict"] is None:
+                print(f"  {name:<20} too few complete pairs ({metric['pairs']})")
+                continue
+            sides = [f"{_number(median)} [{_number(q1)}, {_number(q3)}]"
+                     for q1, median, q3 in (metric["rev"], metric["this"])]
+            tally_text = f"{metric['won']}/{metric['lost']}/{metric['tied']}"
+            print(f"  {name:<20} {sides[0]:>30} {sides[1]:>30} {metric['ratio']:>9.4f}"
+                  f" {tally_text:>14}  {metric['verdict']}")
+
+
+def _number(value: float) -> str:
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.5g}"
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (``python -m repro.bench.perf``)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--designs", nargs="+", default=list(DEFAULT_DESIGNS),
-        help="designs to measure (default: %(default)s)",
-    )
-    parser.add_argument("--n", type=int, default=TRACE_N, help="trace length")
-    parser.add_argument("--seed", type=int, default=TRACE_SEED, help="trace seed")
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed runs per design; best is reported (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=Path(DEFAULT_OUTPUT),
-        help="report path (default: %(default)s in the current directory)",
-    )
-    parser.add_argument(
-        "--profile", metavar="DESIGN", default=None,
-        help="cProfile DESIGN instead of benchmarking; prints the top-N table",
-    )
-    parser.add_argument(
-        "--top", type=int, default=25,
-        help="rows of the cProfile table with --profile (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--obs-check", metavar="DESIGN", nargs="?", const="cosmos", default=None,
-        help="measure observability overhead for DESIGN (default cosmos): "
-             "throughput with REPRO_OBS off vs on",
-    )
-    parser.add_argument(
-        "--dram-only", action="store_true",
-        help="run only the DRAM bank-state microbenchmark and print it",
-    )
-    parser.add_argument(
-        "--dram-n", type=int, default=DRAM_BENCH_N,
-        help="requests in the DRAM microbenchmark (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--history", type=Path, default=None, metavar="FILE",
-        help="benchmark history file to append to "
-             "(default: BENCH_history.jsonl next to the report)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip the benchmark-history append",
-    )
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.dram_only:
-        entry = measure_dram(n=args.dram_n, seed=args.seed, repeats=args.repeats)
-        print(
-            f"dram: {entry['requests_per_sec']:,.0f} requests/sec"
-            f" (row hit {entry['row_hit_rate']:.2f},"
-            f" read {entry['avg_read_latency']:.1f}cyc,"
-            f" write {entry['avg_write_latency']:.1f}cyc)"
-        )
-        return 0
-    if args.profile is not None:
-        print(profile_design(args.profile, n=args.n, seed=args.seed, top=args.top))
-        return 0
-    if args.obs_check is not None:
-        timings = obs_overhead_check(
-            args.obs_check, n=args.n, seed=args.seed, repeats=args.repeats
-        )
-        print(
-            f"{args.obs_check}: obs off {timings['off']:,.0f} acc/s"
-            f" · obs on {timings['on']:,.0f} acc/s"
-            f" · ratio {timings['on_off_ratio']:.3f}"
-        )
-        return 0
-    payload = run_benchmark(
-        designs=args.designs, n=args.n, seed=args.seed, repeats=args.repeats
-    )
-    write_report(payload, args.output)
-    print(format_report(payload))
-    print(f"report written to {args.output}")
-    if not args.no_history:
-        from .history import HISTORY_FILENAME, append_history
-
-        history_path = (args.history if args.history is not None
-                        else args.output.parent / HISTORY_FILENAME)
-        record = append_history(payload, history_path)
-        if record is not None:
-            print(f"history appended to {history_path}"
-                  f" (sha={record.get('sha') or '?'})")
-    return 0
+    parser = argparse.ArgumentParser(prog="python -m repro.bench.perf", allow_abbrev=False,
+                                     description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision to compare this checkout with")
+    parser.add_argument("--workload", nargs="+", metavar="W",
+                        help="workloads to run (default: every one in BENCHMARK.json)")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="runs of each tree per workload (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="perfbench workload seed (default: %(default)s)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    toplevel = _git(Path.cwd(), "rev-parse", "--show-toplevel")
+    if toplevel.returncode:
+        print("perf: run this from inside the repository's git checkout", file=sys.stderr)
+        return 2
+    root = Path(toplevel.stdout.strip())
+    try:
+        commit = check_revision(root, args.against)
+    except RevisionError as error:
+        print(f"perf: {error}; nothing was run", file=sys.stderr)
+        return 2
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    known = [workload["name"] for workload in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)};"
+                     f" BENCHMARK.json has {', '.join(known)}")
+    workloads = args.workload or known
+    runs = compare(root, commit, spec, workloads, args.pairs, args.seed)
+    report = summarise(spec, runs)
+    print_report(args.against, args.pairs, report)
+    correct = all(run.correct for sides in runs.values() for side in sides.values() for run in side)
+    regressions = sorted(f"{workload}:{name}" for workload, entry in report.items()
+                         for name, metric in entry["metrics"].items()
+                         if metric["verdict"] == "regression")
+    print(json.dumps({"against": args.against, "commit": commit, "pairs": args.pairs,
+                      "seed": args.seed, "correct": correct, "regressions": regressions,
+                      "workloads": report}))
+    return 0 if correct and not regressions else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

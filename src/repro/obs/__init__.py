@@ -19,9 +19,8 @@ cooperating facilities:
 
 The cardinal rule: with observability off, the simulator's hot loops are
 *byte-for-byte the same code path as before* — the only cost is one
-``enabled()`` check per ``Simulator.run`` call.  The perf harness
-(``python -m repro.bench.perf --obs-check``) and the golden-metrics tests
-enforce both the throughput budget and metric neutrality.
+``enabled()`` check per ``Simulator.run`` call.  The golden-metrics tests
+enforce metric neutrality.
 """
 
 from __future__ import annotations

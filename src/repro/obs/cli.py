@@ -12,9 +12,7 @@ Subcommands:
 * ``plot JOB`` — unicode sparklines of the job's windowed signals;
 * ``merge MANIFEST`` — stitch a run manifest's orchestrator spans and its
   jobs' per-process span trees into one run-level Chrome trace
-  (``MANIFEST`` may be ``latest``);
-* ``bench-trend`` — compare the newest ``BENCH_history.jsonl`` entry
-  against the median of recent comparable runs and flag drift.
+  (``MANIFEST`` may be ``latest``).
 
 Artifacts are looked up under the cache root (``REPRO_CACHE_DIR`` /
 ``.trace_cache``), where workers write them; ``--cache-dir`` overrides.
@@ -201,29 +199,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    from ..bench.history import (
-        HISTORY_FILENAME,
-        analyze_trend,
-        format_trend,
-        load_history,
-    )
-
-    path = Path(args.history) if args.history else Path(HISTORY_FILENAME)
-    records = load_history(path)
-    if not records:
-        print(f"no benchmark history at {path}", file=sys.stderr)
-        print("run `python -m repro.bench.perf` to record an entry",
-              file=sys.stderr)
-        return 2
-    analysis = analyze_trend(records, window=args.window,
-                             threshold=args.threshold)
-    print(format_trend(analysis, threshold=args.threshold))
-    if args.strict and analysis.get("flags"):
-        return 1
-    return 0
-
-
 def add_obs_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``obs`` subcommand to the top-level CLI parser."""
     obs_parser = sub.add_parser("obs", help="inspect observability artifacts")
@@ -257,19 +232,3 @@ def add_obs_parser(sub: argparse._SubParsersAction) -> None:
         "--output", default=None, metavar="FILE",
         help="trace output path (default: next to the manifest)")
     merge.set_defaults(func=_cmd_merge)
-
-    trend = obs_sub.add_parser(
-        "bench-trend", help="flag throughput drift in the benchmark history")
-    trend.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="history file (default: BENCH_history.jsonl)")
-    trend.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="comparable prior runs folded into the median (default: 5)")
-    trend.add_argument(
-        "--threshold", type=float, default=0.01, metavar="FRACTION",
-        help="relative drop below the median that flags (default: 0.01)")
-    trend.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any key is flagged")
-    trend.set_defaults(func=_cmd_bench_trend)

@@ -1,5 +1,7 @@
 """Tests for the multi-seed statistics helpers."""
 
+import sys
+
 import pytest
 
 from repro.bench import runner
@@ -48,6 +50,16 @@ class TestSeededComparison:
     def test_single_seed_never_significant(self):
         single = SeededComparison("a", "b", "w", seeds=[1], speedups=[1.5])
         assert not single.significant_gain
+
+    def test_interval_needs_no_scipy(self, monkeypatch):
+        # The Student-t quantile comes from a committed table: with scipy
+        # hidden, three seeds still get the t(2) interval, not a normal one
+        # 2.2x too narrow that would call this spread a gain.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        assert SampleSummary((1.20, 1.25, 1.22)).ci_halfwidth == pytest.approx(0.0625, abs=1e-4)
+        noisy = SeededComparison("cosmos", "morphctr", "dfs",
+                                 seeds=[1, 2, 3], speedups=[1.05, 1.20, 1.12])
+        assert not noisy.significant_gain
 
 
 def test_compare_over_seeds_end_to_end(tmp_path, monkeypatch):
