@@ -326,23 +326,36 @@ def generate_graph_trace(
         kernel: One of :data:`GRAPH_WORKLOADS`.
         graph: The graph to traverse; a GitHub-like synthetic graph at
             ``graph_scale`` is generated when omitted.
-        num_cores: Thread/core count; vertices are partitioned round-robin.
+        num_cores: Thread/core count; vertices are partitioned round-robin,
+            so every core needs at least one vertex.
         max_accesses: Total trace length across all cores.
-        seed: Seed for per-core RNGs.
+        seed: Seed for per-core RNGs, and for the generated graph when
+            ``graph`` is omitted.
         graph_scale: Scale passed to :func:`github_like_graph` when no
             graph is supplied.
         property_bytes: Size of each per-vertex property record.  GraphBIG
             stores fat vertex-property objects, so the default is one cache
             line per vertex per property — this is what gives graph
             workloads their large, irregular footprints.
+
+    Raises:
+        ValueError: For an unknown kernel, or ``num_cores`` outside
+            ``[1, graph.num_vertices]``: a core without vertices emits
+            nothing, and its stream could never be filled.
     """
     try:
         kernel_fn = _KERNELS[kernel]
     except KeyError:
         known = ", ".join(available_kernels())
         raise ValueError(f"unknown graph kernel {kernel!r}; expected one of: {known}")
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
     if graph is None:
         graph = github_like_graph(scale=graph_scale, seed=seed)
+    if num_cores > graph.num_vertices:
+        raise ValueError(
+            f"num_cores ({num_cores}) exceeds the graph's {graph.num_vertices} vertices"
+        )
     layout = GraphMemoryLayout(graph, property_bytes=property_bytes)
     # Pre-allocate every property array the kernels use so all cores share
     # the same addresses (threads share the data structures).

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.workloads.graph import (
     CsrGraph,
     GraphMemoryLayout,
+    ShuffledRange,
     degree_skew,
     github_like_graph,
     preferential_attachment_graph,
@@ -124,6 +126,39 @@ class TestLayout:
         before = layout.footprint_bytes
         layout.property_array("new_prop")
         assert layout.footprint_bytes > before
+
+
+class TestShuffledRange:
+    # The lazy permutation must equal the stdlib shuffle element by element.
+    # It reimplements ``Random.shuffle``'s draw rule on NumPy's MT19937, so
+    # an interpreter or NumPy whose RNG plumbing differs fails here instead
+    # of silently changing every scattered-edge trace.  The sizes straddle
+    # the resolver's 4096-step blocks and the draws' bit-length boundaries.
+    @pytest.mark.parametrize("seed", [0, 1337, 2**40 + 1])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4095, 4096, 4097, 65535, 65536, 65537, 300001])
+    def test_matches_random_shuffle(self, n, seed):
+        expected = list(range(n))
+        random.Random(seed).shuffle(expected)
+        lazy = ShuffledRange(n, seed)
+        assert len(lazy) == n
+        assert [lazy[position] for position in range(n)] == expected
+
+    def test_rejects_positions_outside_the_range(self):
+        lazy = ShuffledRange(10, seed=3)
+        for position in (-1, 10):
+            with pytest.raises(IndexError):
+                lazy[position]
+
+    def test_layout_reads_the_seeded_permutation(self):
+        graph = preferential_attachment_graph(300, edges_per_vertex=3, seed=5)
+        layout = GraphMemoryLayout(graph, scatter_edges=True, seed=7)
+        slots = list(range(graph.num_edges))
+        random.Random(7).shuffle(slots)
+        assert [layout.col_idx_address(edge) for edge in range(graph.num_edges)] == [
+            layout.col_idx_base + slot * layout.edge_record_bytes for slot in slots]
+        with pytest.raises(IndexError):
+            layout.col_idx_address(-1)
 
 
 def test_degree_skew_validates_fraction():

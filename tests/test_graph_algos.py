@@ -32,6 +32,22 @@ def test_unknown_kernel_rejected():
         generate_graph_trace("kcore")
 
 
+@pytest.mark.parametrize("kernel", GRAPH_WORKLOADS)
+def test_more_cores_than_vertices_rejected(kernel):
+    # A core with an empty vertex partition emits nothing, so its stream
+    # could never be filled: without the check this call never returns.
+    tiny = preferential_attachment_graph(3, edges_per_vertex=1, seed=1)
+    with pytest.raises(ValueError, match="num_cores"):
+        generate_graph_trace(kernel, graph=tiny, num_cores=4, max_accesses=40)
+    assert len(generate_graph_trace(kernel, graph=tiny, num_cores=3, max_accesses=40)) == 39
+
+
+@pytest.mark.parametrize("num_cores", [0, -1])
+def test_core_count_below_one_rejected(num_cores, graph):
+    with pytest.raises(ValueError, match="num_cores"):
+        generate_graph_trace("dfs", graph=graph, num_cores=num_cores, max_accesses=40)
+
+
 def test_multicore_interleaving(graph):
     trace = generate_graph_trace("bfs", graph=graph, num_cores=4, max_accesses=4000)
     counts = trace.core_counts()
