@@ -9,18 +9,24 @@ evidence of bad locality.
 
 The paper's Algorithm 1 expresses the nearby-match as hashing every address
 in ``[ctr_addr-32, ctr_addr+32]`` and probing the CET for any of those
-states; we index entries by counter-line address in coarse regions so the
-same predicate is evaluated with O(1) work per access.
+states.  We probe outward from the line itself: the exact line first, then
+distance 1, 2, ... up to the radius, the lower address first at each
+distance.  The first resident line found is the closest one, and a tie
+between two equally close lines goes to the lower address.  The configured
+radius is 1 (two extra dict probes per miss), so no spatial index is kept.
+
+Entries live in a plain dict kept in recency order: a touch pops and
+re-inserts the entry, so the first key is the LRU victim and the last
+value is the head.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class CetEntry:
     """One CET record: where it lives plus the prediction being graded."""
 
@@ -44,85 +50,59 @@ class CtrEvaluationTable:
             raise ValueError("radius must be >= 0")
         self.capacity = capacity
         self.radius = radius
-        self._entries: "OrderedDict[int, CetEntry]" = OrderedDict()
-        # Coarse spatial index: region id -> resident ctr blocks. Region
-        # width equals the radius rounded up to a power of two so a +/-r
-        # window spans at most three regions.
-        self._region_shift = max(1, radius).bit_length()
-        self._regions: Dict[int, Set[int]] = {}
+        self._entries: Dict[int, CetEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _region(self, ctr_block: int) -> int:
-        return ctr_block >> self._region_shift
 
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
     def probe(self, ctr_block: int) -> Optional[CetEntry]:
         """Exact-match probe; refreshes LRU position on hit."""
-        entry = self._entries.get(ctr_block)
+        entries = self._entries
+        entry = entries.pop(ctr_block, None)
         if entry is not None:
-            self._entries.move_to_end(ctr_block)
+            entries[ctr_block] = entry
         return entry
 
     def probe_nearby(self, ctr_block: int) -> Optional[CetEntry]:
         """Probe for ``ctr_block`` or any resident line within the radius.
 
-        Returns the closest matching entry (exact match preferred) and
-        refreshes its LRU position, mirroring Algorithm 1 line 9.
+        Returns the closest matching entry (exact match preferred, the
+        lower address on a tie) and refreshes its LRU position, mirroring
+        Algorithm 1 line 9.
         """
-        exact = self.probe(ctr_block)
-        if exact is not None:
-            return exact
-        if self.radius == 0:
-            return None
-        best: Optional[int] = None
-        best_distance = self.radius + 1
-        region = self._region(ctr_block)
-        for region_id in (region - 1, region, region + 1):
-            residents = self._regions.get(region_id)
-            if not residents:
-                continue
-            for candidate in residents:
-                distance = abs(candidate - ctr_block)
-                if distance <= self.radius and distance < best_distance:
-                    best = candidate
-                    best_distance = distance
-        if best is None:
-            return None
-        entry = self._entries[best]
-        self._entries.move_to_end(best)
-        return entry
+        entries = self._entries
+        entry = entries.pop(ctr_block, None)
+        if entry is not None:
+            entries[ctr_block] = entry
+            return entry
+        for distance in range(1, self.radius + 1):
+            for candidate in (ctr_block - distance, ctr_block + distance):
+                entry = entries.pop(candidate, None)
+                if entry is not None:
+                    entries[candidate] = entry
+                    return entry
+        return None
 
     # ------------------------------------------------------------------
     # Insertion / eviction
     # ------------------------------------------------------------------
     def insert(self, ctr_block: int, state: int, action: int) -> Optional[CetEntry]:
         """Insert or refresh an entry; returns the LRU victim if one fell out."""
-        existing = self._entries.get(ctr_block)
+        entries = self._entries
+        existing = entries.pop(ctr_block, None)
         if existing is not None:
             existing.state = state
             existing.action = action
-            self._entries.move_to_end(ctr_block)
+            entries[ctr_block] = existing
             return None
         evicted: Optional[CetEntry] = None
-        if len(self._entries) >= self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self._unindex(evicted.ctr_block)
-        entry = CetEntry(ctr_block, state, action)
-        self._entries[ctr_block] = entry
-        self._regions.setdefault(self._region(ctr_block), set()).add(ctr_block)
+        if len(entries) >= self.capacity:
+            evicted = entries.pop(next(iter(entries)))
+        entries[ctr_block] = CetEntry(ctr_block, state, action)
         return evicted
-
-    def _unindex(self, ctr_block: int) -> None:
-        region = self._region(ctr_block)
-        residents = self._regions.get(region)
-        if residents is not None:
-            residents.discard(ctr_block)
-            if not residents:
-                del self._regions[region]
 
     # ------------------------------------------------------------------
     # Introspection

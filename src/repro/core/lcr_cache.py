@@ -19,6 +19,7 @@ bad line among the eviction candidates.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from ..mem.replacement import CacheLine, ReplacementPolicy
@@ -26,6 +27,9 @@ from ..mem.replacement import CacheLine, ReplacementPolicy
 #: Locality-flag values stored in the extra cache-line bit.
 FLAG_BAD = 0
 FLAG_GOOD = 1
+
+_score = attrgetter("locality_score")
+_recency = attrgetter("lru_tick")
 
 
 class LcrReplacementPolicy(ReplacementPolicy):
@@ -73,11 +77,14 @@ class LcrReplacementPolicy(ReplacementPolicy):
         self._tick += 1
         line.lru_tick = self._tick
 
+    # Only bad_selection="lru" reads lru_tick, so only it stamps lines.
     def on_insert(self, set_index: int, line: CacheLine, context: Optional[int] = None) -> None:
-        self._touch(line)
+        if self.bad_selection == "lru":
+            self._touch(line)
 
     def on_hit(self, set_index: int, line: CacheLine, context: Optional[int] = None) -> None:
-        self._touch(line)
+        if self.bad_selection == "lru":
+            self._touch(line)
 
     def victim(self, set_index: int, lines: Iterable[CacheLine]) -> CacheLine:
         # Age resident good lines under replacement pressure; demote the
@@ -93,23 +100,14 @@ class LcrReplacementPolicy(ReplacementPolicy):
                             line.locality_flag = FLAG_BAD
                             line.locality_score = 0
             self._pressure[set_index] = pressure
-        evict_candidate: Optional[CacheLine] = None
-        best_bad_key: Optional[int] = None
-        min_good_score: Optional[int] = None
-        for line in lines:
-            if line.locality_flag == FLAG_BAD:
-                # Bad-locality lines always dominate good ones; among them
-                # pick per bad_selection (oldest, or most confidently bad).
-                if self.bad_selection == "lru":
-                    key = -line.lru_tick
-                else:
-                    key = line.locality_score
-                if best_bad_key is None or key > best_bad_key:
-                    evict_candidate = line
-                    best_bad_key = key
-            elif best_bad_key is None:
-                if min_good_score is None or line.locality_score < min_good_score:
-                    evict_candidate = line
-                    min_good_score = line.locality_score
+        # Bad-locality lines always dominate good ones; among them pick per
+        # bad_selection (oldest, or most confidently bad).  max() and min()
+        # return the first extreme line in set order, as a strict scan does.
+        bad = [line for line in lines if line.locality_flag == FLAG_BAD]
+        if bad:
+            if self.bad_selection == "lru":
+                return min(bad, key=_recency)
+            return max(bad, key=_score)
+        evict_candidate = min(lines, key=_score, default=None)
         assert evict_candidate is not None, "victim() called on an empty set"
         return evict_candidate

@@ -95,13 +95,13 @@ class CtrLocalityPredictor:
         """
         table = self.q_table._table
         state = hash_block(ctr_block, self._num_states)
+        row = table[state]
         selector = self._selector
         if selector._random() < selector.epsilon:
             selector.explorations += 1
             action = selector._randrange(2)
         else:
             selector.exploitations += 1
-            row = table[state]
             action = 1 if row[1] > row[0] else 0
         stats = self.stats
         stats.predictions += 1
@@ -110,7 +110,8 @@ class CtrLocalityPredictor:
 
         # Grade against CET evidence (Algorithm 1 lines 9-15).
         rewards = self._rewards
-        nearby = self.cet.probe_nearby(ctr_block)
+        cet = self.cet
+        nearby = cet.probe_nearby(ctr_block)
         if nearby is not None:
             stats.cet_hits += 1
             correct = action == GOOD_LOCALITY
@@ -127,9 +128,8 @@ class CtrLocalityPredictor:
         # Bootstrap from the most recent CET entry (lines 16-17).
         alpha = self._alpha
         gamma = self._gamma
-        head = self.cet.head
+        head = cet.head
         bootstrap = max(table[head.state]) if head is not None else 0.0
-        row = table[state]
         current = row[action]
         updated = current + alpha * (reward + gamma * bootstrap - current)
         if updated > Q_MAX:
@@ -139,15 +139,16 @@ class CtrLocalityPredictor:
         row[action] = updated
 
         # Record the observation; settle evicted entries (lines 18-23).
-        evicted = self.cet.insert(ctr_block, state, action)
+        evicted = cet.insert(ctr_block, state, action)
         if evicted is not None:
             stats.cet_evictions += 1
             if evicted.action == GOOD_LOCALITY:
                 evict_reward = rewards.r_eg
             else:
                 evict_reward = rewards.r_eb
-            head = self.cet.head
-            bootstrap = max(table[head.state]) if head is not None else 0.0
+            # insert() just made this access's own entry the CET head, so
+            # the bootstrap is the best value of this state's row.
+            bootstrap = max(row)
             evicted_row = table[evicted.state]
             current = evicted_row[evicted.action]
             updated = current + alpha * (evict_reward + gamma * bootstrap - current)
@@ -156,11 +157,4 @@ class CtrLocalityPredictor:
             elif updated < Q_MIN:
                 updated = Q_MIN
             evicted_row[evicted.action] = updated
-        score = int(round(table[state][action]))
-        return action, score
-
-    def _head_bootstrap(self) -> float:
-        head = self.cet.head
-        if head is None:
-            return 0.0
-        return self.q_table.max_q(head.state)
+        return action, round(row[action])

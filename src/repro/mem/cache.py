@@ -10,8 +10,9 @@ model ports or MSHRs — consistent with the trace-driven methodology in
 DESIGN.md.
 
 :meth:`Cache.access` and :meth:`Cache.fill` are the innermost frames of the
-whole simulator (every trace access walks one to four caches).  Under the
-default :class:`LRUPolicy` they bypass the policy object: each set's dict
+whole simulator (every trace access walks one to four caches), and
+:meth:`Cache.access_and_fill` is the Merkle walk's one call per node.  Under
+the default :class:`LRUPolicy` they bypass the policy object: each set's dict
 is kept in recency order (a hit moves the line to the end, a fill appends),
 so the victim is the set's first line, and the evicted :class:`CacheLine`
 is recycled for the incoming block instead of allocating a new one.  Other
@@ -139,10 +140,50 @@ class Cache:
         return True
 
     def access_and_fill(self, block_address: int, is_write: bool = False) -> bool:
-        """Demand access that fills the block on a miss; returns True on hit."""
-        if self.access(block_address, is_write):
+        """Demand access that fills the block on a miss; returns True on hit.
+
+        Under LRU this is one pass over the set: a single ``pop`` finds
+        the line, and a miss evicts and recycles the set's first line
+        inline (the same steps as :meth:`access` then :meth:`fill`).
+        """
+        if not self._lru:
+            if self.access(block_address, is_write):
+                return True
+            self.fill(block_address, dirty=is_write)
+            return False
+        target_set = self._sets[block_address & self._set_mask]
+        stats = self.stats
+        line = target_set.pop(block_address, None)
+        if line is not None:
+            stats.hits += 1
+            if line.prefetched and not line.referenced:
+                stats.prefetch_useful += 1
+            line.referenced = True
+            if is_write:
+                line.dirty = True
+            target_set[block_address] = line
             return True
-        self.fill(block_address, dirty=is_write)
+        stats.misses += 1
+        if len(target_set) < self.assoc:
+            line = CacheLine(block_address)
+        else:
+            evicted_address = next(iter(target_set))
+            line = target_set.pop(evicted_address)
+            stats.evictions += 1
+            if line.prefetched and not line.referenced:
+                stats.prefetch_evicted_unused += 1
+            if line.dirty:
+                stats.writebacks += 1
+                if self.writeback_sink is not None:
+                    self.writeback_sink(evicted_address)
+            # Recycled as in fill().
+            line.tag = block_address
+            line.referenced = False
+            line.locality_flag = 1
+            line.locality_score = 0
+        line.dirty = is_write
+        line.prefetched = False
+        target_set[block_address] = line
         return False
 
     def fill(self, block_address: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:

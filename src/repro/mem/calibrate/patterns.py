@@ -254,8 +254,12 @@ def refresh_probe(
             raise ValueError(
                 "refresh_probe needs refresh_interval > 0 in the profile"
             )
-        baseline = factory()
-        baseline.timings = replace(baseline.timings, refresh_interval=0)
+        baseline = DramModel(
+            timings=replace(model.timings, refresh_interval=0),
+            num_banks=model.num_banks,
+            num_channels=model.num_channels,
+            row_size_bytes=model.row_size_bytes,
+        )
         requests = max(1, (interval * windows) // gap)
         total = 0
         base_total = 0

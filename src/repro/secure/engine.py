@@ -199,8 +199,12 @@ class SecureMemoryEngine:
         fetched, addresses = self.integrity.traverse(ctr_index)
         self.traffic.mt_reads += fetched
         now = self._now
+        # Bound per call, never at construction: a wrapper installed on the
+        # instance afterwards (perfbench's layer tracer) must still see
+        # every request.
+        request = self.dram.request
         for node_address in addresses:
-            self.dram.request(node_address, now=now)
+            request(node_address, now=now)
         if self.on_authenticate is not None:
             self.on_authenticate(ctr_index, fetched)
 

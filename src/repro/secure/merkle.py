@@ -268,10 +268,10 @@ class IntegrityTreeModel:
         Walks the MT path leaf-parent to root, fetching nodes from DRAM
         until one hits in the MT-node cache (that node was already verified
         against the root, so the walk can stop).  Fetched nodes are
-        installed in the cache.  Node addresses are computed level by level
-        as the walk climbs (the same placement as
-        :meth:`SecureLayout.mt_path`), so a walk that stops early never
-        computes the rest of the path.
+        installed in the cache: one :meth:`Cache.access_and_fill` per node.
+        Node addresses are computed level by level as the walk climbs (the
+        same placement as :meth:`SecureLayout.mt_path`), so a walk that
+        stops early never computes the rest of the path.
 
         Returns:
             Tuple of (nodes fetched from DRAM, their block addresses).
@@ -288,11 +288,9 @@ class IntegrityTreeModel:
         for base in layout.mt_fetched_level_bases:
             node //= arity
             node_address = base + node
-            if node_cache is not None:
-                if node_cache.access(node_address):
-                    stats.cache_hits += 1
-                    break
-                node_cache.fill(node_address)
+            if node_cache is not None and node_cache.access_and_fill(node_address):
+                stats.cache_hits += 1
+                break
             fetched.append(node_address)
         else:
             stats.root_reached += 1

@@ -1,8 +1,11 @@
 """Unit tests for the DDR4 bank-state timing model."""
 
 import random
+from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.mem.dram import DramModel, DramTimings
 
@@ -432,3 +435,87 @@ def test_max_row_activations_tracks_hottest_row():
         dram.request(row_blocks, now=0)
     assert dram.stats.max_row_activations == 5
     assert dram.stats.as_dict()["max_row_activations"] == 5
+
+
+# ----------------------------------------------------------------------
+# Timings fixed at construction
+# ----------------------------------------------------------------------
+def test_refresh_schedule_follows_construction_timings():
+    dram = DramModel(timings=DramTimings(refresh_interval=10_000))
+    dram.request(0, now=0)
+    dram.request(0, now=15_000)
+    assert dram.stats.refresh_stalls == 1
+
+
+def test_timings_cannot_be_replaced_after_construction():
+    # The refresh schedule and the cached queue penalty derive from the
+    # timings a model is built with; a replaced timings object used to
+    # keep the old tREFI schedule (0 refresh stalls here instead of 1).
+    dram = DramModel()
+    with pytest.raises(AttributeError):
+        dram.timings = replace(dram.timings, refresh_interval=10_000)
+    with pytest.raises(AttributeError):
+        dram.timings.refresh_interval = 10_000
+    dram.request(0, now=0)
+    dram.request(0, now=15_000)
+    assert dram.stats.refresh_stalls == 0  # default tREFI 23,400
+
+
+def test_refresh_probe_baseline_has_no_refresh():
+    from repro.mem.calibrate.patterns import refresh_probe
+
+    timings = DramTimings(refresh_interval=2_000, refresh_cycles=300)
+    curve = refresh_probe(lambda: DramModel(timings=timings, num_channels=2),
+                          gaps=(50, 4_000), windows=4)
+    # At a wide gap each stall lands on one request with no knock-on, so
+    # against a refresh-free twin the overhead is exactly tRFC per stall.
+    requests = (2_000 * 4) // 4_000
+    assert curve.extra["refresh_stalls"][1] > 0
+    assert curve.ys[1] == 300 * curve.extra["refresh_stalls"][1] / requests
+
+
+# ----------------------------------------------------------------------
+# Per-cycle settling
+# ----------------------------------------------------------------------
+class _SettleEveryRequest(DramModel):
+    """Settles refresh and the windows on every request, as if no two
+    requests shared a cycle."""
+
+    def request(self, block_address, is_write=False, now=0):
+        self._settled_at[:] = [None] * self.num_channels
+        return super().request(block_address, is_write=is_write, now=now)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            # Mostly same-cycle requests; the gaps cross refresh boundaries
+            # and close utilisation windows (1,024 cycles) often.
+            st.sampled_from([0, 0, 0, 1, 7, 300, 1_500]),
+            st.integers(min_value=0, max_value=255),  # both channels
+            st.booleans(),
+            st.integers(min_value=0, max_value=3),  # background requests
+        ),
+        min_size=20,
+        max_size=200,
+    ),
+    refresh_interval=st.sampled_from([0, 700]),
+)
+def test_same_cycle_requests_skip_settling_exactly(steps, refresh_interval):
+    models = [
+        cls(timings=DramTimings(refresh_interval=refresh_interval, refresh_cycles=300),
+            num_channels=2, num_banks=2, row_size_bytes=256)
+        for cls in (DramModel, _SettleEveryRequest)
+    ]
+    now = 0
+    for advance, block, is_write, background in steps:
+        now += advance
+        latencies = [model.request(block, is_write=is_write, now=now) for model in models]
+        assert latencies[0] == latencies[1]
+        if background:
+            for model in models:
+                model.add_background_occupancy(background)
+    fast, reference = models
+    assert fast.stats == reference.stats
+    assert fast.activation_counts() == reference.activation_counts()

@@ -1,6 +1,8 @@
 """Unit tests for the LCR replacement policy (Algorithm 2 + aging)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.lcr_cache import FLAG_BAD, FLAG_GOOD, LcrReplacementPolicy
 from repro.mem.replacement import CacheLine
@@ -102,3 +104,77 @@ def test_empty_set_asserts():
     policy = LcrReplacementPolicy()
     with pytest.raises(AssertionError):
         policy.victim(0, [])
+
+
+# ----------------------------------------------------------------------
+# Victim choice against Algorithm 2's literal scan
+# ----------------------------------------------------------------------
+class _LiteralScanLcr(LcrReplacementPolicy):
+    """Algorithm 2 as a strict-comparison scan over the set, kept as the
+    reference for the policy's max/min victim choice."""
+
+    def victim(self, set_index, lines):
+        if self.aging:
+            pressure = self._pressure.get(set_index, 0) + 1
+            if pressure >= self.aging_period:
+                pressure = 0
+                for line in lines:
+                    if line.locality_flag == FLAG_GOOD:
+                        line.locality_score -= self.aging
+                        if line.locality_score < self.demote_threshold:
+                            line.locality_flag = FLAG_BAD
+                            line.locality_score = 0
+            self._pressure[set_index] = pressure
+        evict_candidate = None
+        best_bad_key = None
+        min_good_score = None
+        for line in lines:
+            if line.locality_flag == FLAG_BAD:
+                if self.bad_selection == "lru":
+                    key = -line.lru_tick
+                else:
+                    key = line.locality_score
+                if best_bad_key is None or key > best_bad_key:
+                    evict_candidate = line
+                    best_bad_key = key
+            elif best_bad_key is None:
+                if min_good_score is None or line.locality_score < min_good_score:
+                    evict_candidate = line
+                    min_good_score = line.locality_score
+        return evict_candidate
+
+
+_LINE_TAGS = st.tuples(
+    st.sampled_from([FLAG_BAD, FLAG_GOOD]),
+    st.integers(min_value=-2, max_value=3),  # few values: scores repeat
+    st.integers(min_value=0, max_value=3),  # lru_tick repeats too
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tags=st.lists(_LINE_TAGS, min_size=1, max_size=16),
+    refills=st.lists(_LINE_TAGS, min_size=1, max_size=12),
+    bad_selection=st.sampled_from(["score", "lru"]),
+    aging=st.sampled_from([(0, 8), (1, 1), (2, 3)]),
+)
+def test_victim_matches_literal_scan(tags, refills, bad_selection, aging):
+    amount, period = aging
+    policy = LcrReplacementPolicy(aging=amount, aging_period=period,
+                                  bad_selection=bad_selection)
+    reference = _LiteralScanLcr(aging=amount, aging_period=period,
+                                bad_selection=bad_selection)
+    lines = [tagged_line(tag, *tag_values) for tag, tag_values in enumerate(tags)]
+    for step, refill in enumerate(refills):
+        # Both policies see the same set in the same state: aging mutates
+        # the lines, so the reference runs on a restored snapshot.
+        snapshot = [(line.locality_flag, line.locality_score) for line in lines]
+        chosen = policy.victim(0, lines)
+        after = [(line.locality_flag, line.locality_score) for line in lines]
+        for line, (flag, score) in zip(lines, snapshot):
+            line.locality_flag, line.locality_score = flag, score
+        expected = reference.victim(0, lines)
+        assert chosen is expected
+        assert after == [(line.locality_flag, line.locality_score) for line in lines]
+        # Replace the victim in place, as the cache's fill does.
+        lines[lines.index(chosen)] = tagged_line(len(tags) + step, *refill)

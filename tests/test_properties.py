@@ -209,7 +209,7 @@ def test_cet_capacity_and_index_consistency(inserts, capacity):
     for block in inserts:
         cet.insert(block, state=block % 7, action=block % 2)
         assert len(cet) <= capacity
-    # Every resident entry is probe-able; the spatial index agrees.
+    # The last insert is the head and can be probed.
     head = cet.head
     assert head is not None
     assert cet.probe(head.ctr_block) is head
