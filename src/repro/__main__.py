@@ -19,7 +19,6 @@ from typing import Callable, Dict
 
 from .bench import experiments
 from .bench.report import format_table
-from .mem.calibrate import available_profiles
 from .workloads.graph_algos import GRAPH_WORKLOADS
 from .workloads.hammer import HAMMER_WORKLOADS
 from .workloads.ml import ML_WORKLOADS
@@ -135,7 +134,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
         "            trace:<path>  (external Ramulator/gem5 request trace, "
         ".gz ok)"
     )
-    print("dram profiles:", ", ".join(available_profiles()) or "<none>")
     return 0
 
 

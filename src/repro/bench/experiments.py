@@ -794,8 +794,10 @@ def ablation_lcr_policy(workload: str = "dfs", quiet: bool = False) -> List[Dict
     """Algorithm 2 interpretation study (EXPERIMENTS.md choice #3).
 
     Compares the literal pseudo-code (score-based bad-line selection, no
-    aging) against our recency-aware reading, plus plain LRU at the same
-    capacity, all on the full-COSMOS stream.
+    aging), which is the default and is best with the tuned CET, against
+    the two defensive variants kept for over-tagging regimes (score decay
+    with demotion, with score-based or recency-based bad-line selection),
+    plus plain LRU at the same capacity, all on the full-COSMOS stream.
     """
     from ..core.lcr_cache import LcrReplacementPolicy
     from ..sim.simulator import build_design, Simulator
@@ -806,7 +808,7 @@ def ablation_lcr_policy(workload: str = "dfs", quiet: bool = False) -> List[Dict
         ("lru-plain", None),
         ("lcr-literal", LcrReplacementPolicy(aging=0, bad_selection="score")),
         ("lcr-score+aging", LcrReplacementPolicy(aging=1, aging_period=8, bad_selection="score")),
-        ("lcr-recency+aging", LcrReplacementPolicy()),  # our default
+        ("lcr-recency+aging", LcrReplacementPolicy(aging=1, aging_period=8, bad_selection="lru")),
     ]
     rows: List[Dict[str, object]] = []
     for label, policy in variants:
@@ -823,6 +825,8 @@ def ablation_lcr_policy(workload: str = "dfs", quiet: bool = False) -> List[Dict
         rows.append(
             {
                 "policy": label,
+                "aging": policy.aging if policy is not None else None,
+                "bad_selection": policy.bad_selection if policy is not None else None,
                 "ctr_miss_rate": result.ctr_miss_rate,
                 "ipc": result.ipc,
             }
@@ -833,7 +837,9 @@ def ablation_lcr_policy(workload: str = "dfs", quiet: bool = False) -> List[Dict
             rows,
             notes=[
                 "the literal Algorithm 2 (permanent good tags, score-only"
-                " bad selection) underperforms; see EXPERIMENTS.md #3",
+                " bad selection) is the default and is best with the tuned"
+                " CET; the aging variants are kept for over-tagging regimes"
+                " (EXPERIMENTS.md #3)",
             ],
         )
     return rows

@@ -26,6 +26,7 @@ from ..sim.simulator import simulate
 from ..workloads.db import DB_WORKLOADS, generate_db_trace
 from ..workloads.graph_algos import GRAPH_WORKLOADS, generate_graph_trace
 from ..workloads.hammer import HAMMER_WORKLOADS, generate_hammer_trace
+from ..workloads.ingest import load_external_trace, trace_digest
 from ..workloads.ml import ML_WORKLOADS, generate_ml_trace
 from ..workloads.spec import SPEC_WORKLOADS, generate_spec_trace
 from ..workloads.trace import Trace
@@ -93,13 +94,12 @@ def get_trace(
     if workload.startswith("trace:"):
         # External request trace (Ramulator / gem5 export): the file is
         # already a materialised trace, so the npz generation cache is
-        # skipped — only the in-memory cache applies.  ``num_cores``,
-        # ``seed`` and ``scale`` do not affect a recorded stream.
-        from ..workloads.ingest import load_external_trace
-
+        # skipped — only the in-memory cache, keyed by the file's sha256,
+        # applies.  ``num_cores``, ``seed`` and ``scale`` do not affect a
+        # recorded stream.
         source = workload[len("trace:"):]
         limit = max_accesses if max_accesses is not None else trace_length()
-        key = f"{workload}-n{limit}"
+        key = f"{workload}-n{limit}-{trace_digest(workload)}"
         cached = _MEMORY_CACHE.get(key)
         if cached is None:
             with obs.span("trace_ingest", workload=workload, key=key):
@@ -180,7 +180,7 @@ def run_design(
     """
     cache_key = None
     if config is None:
-        cache_key = (design, workload, num_cores,
+        cache_key = (design, workload, trace_digest(workload), num_cores,
                      max_accesses if max_accesses is not None else trace_length(),
                      graph_scale())
         cached = _RESULT_CACHE.get(cache_key)
@@ -231,7 +231,8 @@ def run_design_matrix(
     def memo_key(design: str, workload: str) -> Optional[tuple]:
         if config is not None or max_accesses is not None:
             return None
-        return (design, workload, num_cores, trace_length(), graph_scale())
+        return (design, workload, trace_digest(workload), num_cores, trace_length(),
+                graph_scale())
 
     matrix: Dict[str, Dict[str, SimulationResult]] = {w: {} for w in workloads}
     cells: List[tuple] = []  # (workload, design, job_hash)

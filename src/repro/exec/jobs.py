@@ -6,9 +6,10 @@ default configuration are captured at *spec-creation* time, so a worker
 process can execute the job without consulting any ambient state.
 
 Every spec has a stable **content hash** — a SHA-256 over the design name,
-workload, seed and the canonicalised :class:`~repro.sim.config.SimulationConfig`
-— which keys the on-disk :class:`~repro.exec.cache.ResultCache` and
-deduplicates identical cells inside one run.
+workload, seed and the canonicalised :class:`~repro.sim.config.SimulationConfig`,
+plus the file's own SHA-256 for a ``trace:<path>`` workload — which keys
+the on-disk :class:`~repro.exec.cache.ResultCache` and deduplicates
+identical cells inside one run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..sim.config import SimulationConfig
+from ..workloads.ingest import trace_digest
 
 #: Bump when the hash inputs or the simulation semantics they describe
 #: change incompatibly; stale cache entries then miss instead of lying.
@@ -60,7 +62,12 @@ class JobSpec:
     seed: Optional[int] = None
 
     def content_hash(self) -> str:
-        """Stable SHA-256 over every field, the configuration included."""
+        """Stable SHA-256 over every field, the configuration included.
+
+        A ``trace:<path>`` workload also hashes the file's contents, so an
+        edited trace misses the result cache instead of serving the old
+        result.
+        """
         fields = {
             "spec_version": SPEC_VERSION,
             "design": self.design,
@@ -71,6 +78,9 @@ class JobSpec:
             "seed": self.seed,
             "config": canonical_config_dict(self.config),
         }
+        digest = trace_digest(self.workload)
+        if digest is not None:
+            fields["trace_sha256"] = digest
         blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

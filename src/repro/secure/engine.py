@@ -54,12 +54,6 @@ class EngineConfig:
     #: designs — the paper's footnote notes COSMOS composes with such
     #: MT/MAC optimisations.
     mac_in_ecc: bool = False
-    #: Name of a pinned DRAM calibration profile (``repro.mem.calibrate``,
-    #: e.g. ``"ddr4-2400"`` or ``"ddr5-4800"``).  When set and no explicit
-    #: ``dram`` model is passed to the engine, the channel is built from
-    #: the profile's calibrated geometry and timings; ``None`` keeps the
-    #: :class:`~repro.mem.dram.DramTimings` defaults.
-    dram_profile: Optional[str] = None
 
 
 @dataclass
@@ -92,14 +86,7 @@ class SecureMemoryEngine:
         self.layout = layout
         self.scheme = scheme if scheme is not None else MorphCtrCounters()
         self.config = config if config is not None else EngineConfig()
-        if dram is None:
-            if self.config.dram_profile is not None:
-                from ..mem.calibrate import load_profile
-
-                dram = load_profile(self.config.dram_profile).build_model()
-            else:
-                dram = DramModel()
-        self.dram = dram
+        self.dram = dram if dram is not None else DramModel()
         self.traffic = TrafficStats()
         self.events = EngineCounters()
         if ctr_policy is None and self.config.ctr_policy_name is not None:

@@ -76,8 +76,8 @@ class SimulationConfig:
         """A copy with a different baseline CTR-cache capacity (Fig. 3).
 
         ``dataclasses.replace`` keeps every other engine knob (policy and
-        prefetcher names, MAC placement, DRAM calibration profile) — a
-        field-by-field rebuild here once silently dropped new fields.
+        prefetcher names, MAC placement) — a field-by-field rebuild here
+        once silently dropped new fields.
         """
         engine = replace(self.engine, ctr_cache_bytes=size_bytes)
         return SimulationConfig(

@@ -10,7 +10,9 @@ differential`, a fuzz campaign over both through :mod:`~repro.verify.
 fuzz` (``python -m repro verify fuzz``), and a RowHammer disturbance
 model through :mod:`~repro.verify.hammer` (``python -m repro verify
 hammer``) that earns its bit flips from DRAM activation pressure instead
-of drawing them at random.
+of drawing them at random.  :mod:`~repro.verify.dram` (``python -m repro
+verify dram-calib``) checks the DRAM timing model against closed-form DDR
+timing algebra.
 """
 
 from .attack import AttackError, AttackHarness, AttackReport, Detection, run_attack

@@ -12,11 +12,9 @@ Subcommands:
 * ``hammer`` — RowHammer disturbance-error sweep: aggressor workloads
   and region-boundary scenarios, every planned flip must be detected
   with correct attribution and benign traffic must stay silent.
-* ``dram-calib`` — replay the DRAM microbenchmark suite against a pinned
-  calibration profile; every curve point must stay inside its tolerance
-  band.  ``--fit`` reports least-squares knob deltas, ``--pin``
-  re-measures and rewrites the profile JSON after a deliberate timing
-  change.
+* ``dram-calib`` — check the DRAM model against closed-form DDR timing
+  algebra (:mod:`~repro.verify.dram`) at the figures' geometry; every
+  point's measured integer must equal its expectation.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from ..secure.functional import FunctionalSecureMemory
 from ..sim.simulator import SimulationConfig
 from .attack import AttackError, AttackHarness
 from .differential import run_with_invariants
+from .dram import run_check
 from .fuzz import DESIGNS, SCHEMES, _random_accesses, replay, run_fuzz
 from .hammer import (
     HammerConfig,
@@ -114,55 +113,13 @@ def _cmd_hammer(args: argparse.Namespace) -> int:
 
 
 def _cmd_dram_calib(args: argparse.Namespace) -> int:
-    from ..mem.calibrate import (
-        available_profiles,
-        fit_timings,
-        load_profile,
-        load_reference,
-        pin_profile,
-        run_calibration,
-    )
-
-    names = (
-        available_profiles() if args.profile == "all" else [args.profile]
-    )
-    if not names:
-        print("no calibration profiles found")
-        return 1
-
-    payload: dict = {"profiles": {}}
-    status = 0
-    for name in names:
-        profile = load_profile(name)
-        if args.pin:
-            path = pin_profile(profile, requests=args.requests)
-            payload["profiles"][name] = {"pinned": str(path)}
-            continue
-        report = run_calibration(profile, requests=args.requests)
-        entry = report.to_dict()
-        if args.fit:
-            result = fit_timings(
-                load_reference(name),
-                initial=profile.timings,
-                seed=args.seed,
-                requests=args.requests,
-                num_channels=profile.num_channels,
-                num_banks=profile.num_banks,
-            )
-            entry["fit"] = result.to_dict()
-        payload["profiles"][name] = entry
-        if not report.ok:
-            status = 1
-    payload["ok"] = status == 0
+    report = run_check()
     if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    _print(payload)
-    return status
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _print(report)
+    return 0 if report["ok"] else 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -218,28 +175,11 @@ def add_verify_parser(sub: argparse._SubParsersAction) -> None:
 
     calib = verify_sub.add_parser(
         "dram-calib",
-        help="DRAM timing calibration check against a pinned profile",
-    )
-    calib.add_argument(
-        "--profile", default="all",
-        help="profile name (e.g. ddr4-2400) or 'all' (default)",
-    )
-    calib.add_argument(
-        "--requests", type=int, default=2048,
-        help="microbenchmark request budget (must match the pinned budget)",
-    )
-    calib.add_argument("--seed", type=int, default=0, help="fitter seed")
-    calib.add_argument(
-        "--fit", action="store_true",
-        help="also run the least-squares knob fitter and report deltas",
-    )
-    calib.add_argument(
-        "--pin", action="store_true",
-        help="re-measure and overwrite the pinned profile JSON(s)",
+        help="DRAM model against closed-form DDR timing algebra",
     )
     calib.add_argument(
         "--out", default="",
-        help="also write the comparison report JSON to this file (CI artifact)",
+        help="also write the JSON report to this file (CI artifact)",
     )
     calib.set_defaults(func=_cmd_dram_calib)
 

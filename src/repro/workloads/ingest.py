@@ -1,9 +1,9 @@
 """Ingest external simulator request traces as workloads.
 
-Lets the calibrated DRAM model (and the full secure-memory designs) be
-driven by *real* request streams recorded by the reference simulators
-instead of this repo's synthetic generators.  Two line formats cover the
-common exports:
+Lets the DRAM model (and the full secure-memory designs) be driven by
+*real* request streams recorded by the reference simulators instead of
+this repo's synthetic generators.  Two line formats cover the common
+exports:
 
 * **Ramulator** load-store traces (``fmt="ramulator"``): one request per
   line, an address token and an op token in either order —
@@ -30,6 +30,7 @@ Registered as the ``trace:<path>`` workload prefix in
 from __future__ import annotations
 
 import gzip
+import hashlib
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Tuple, Union
 
@@ -191,3 +192,14 @@ def load_external_trace(
             "requests": len(arrays),
         },
     )
+
+
+def trace_digest(workload: str) -> Optional[str]:
+    """sha256 of a ``trace:<path>`` workload's file; ``None`` for any other.
+
+    The file, not its path, names the stream: every cache keyed by a
+    workload name folds this in, so an edited trace file misses.
+    """
+    if not workload.startswith("trace:"):
+        return None
+    return hashlib.sha256(Path(workload[len("trace:"):]).read_bytes()).hexdigest()

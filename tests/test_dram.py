@@ -462,16 +462,15 @@ def test_timings_cannot_be_replaced_after_construction():
 
 
 def test_refresh_probe_baseline_has_no_refresh():
-    from repro.mem.calibrate.patterns import refresh_probe
+    from repro.verify.dram import measure
 
     timings = DramTimings(refresh_interval=2_000, refresh_cycles=300)
-    curve = refresh_probe(lambda: DramModel(timings=timings, num_channels=2),
-                          gaps=(50, 4_000), windows=4)
     # At a wide gap each stall lands on one request with no knock-on, so
-    # against a refresh-free twin the overhead is exactly tRFC per stall.
-    requests = (2_000 * 4) // 4_000
-    assert curve.extra["refresh_stalls"][1] > 0
-    assert curve.ys[1] == 300 * curve.extra["refresh_stalls"][1] / requests
+    # against a refresh-free twin the overhead is exactly tRFC per stall:
+    # 16 requests 1,000 cycles apart cross 7 tREFI boundaries.
+    overhead = measure("refresh_probe", 1_000, timings,
+                       {"num_banks": 16, "num_channels": 2, "row_size_bytes": 2048})
+    assert overhead == 300 * 7
 
 
 # ----------------------------------------------------------------------

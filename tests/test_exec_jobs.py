@@ -37,7 +37,31 @@ def test_hash_is_hex_sha256():
 def test_hash_is_pinned():
     # A changed digest strands every cached result; change it on purpose.
     assert make_job().content_hash() == (
-        "f128bc9bbd78b42e1224f88ff1bce944e1eff00d6668849ad8180542bbadf0bd")
+        "b6649abdbd89d9935160f4e5dcf8a1cfab044d7f6c54b2efd52814c903dc256d")
+
+
+def test_edited_trace_file_misses_the_result_cache(tmp_path, monkeypatch):
+    from repro.bench import runner
+
+    monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+    path = tmp_path / "stream.trace"
+    workload = f"trace:{path}"
+    config = small_test_config(1)
+
+    def run():
+        spec = make_spec("np", workload, config=config, num_cores=1, max_accesses=100)
+        matrix = runner.run_design_matrix(
+            ["np"], [workload], config=config, num_cores=1, max_accesses=100,
+            jobs=1, use_cache=True,
+        )
+        return spec.content_hash(), matrix[workload]["np"]
+
+    path.write_text("0x400140 R\n0x400180 W\n0x4001c0 R\n")
+    first_hash, first = run()
+    path.write_text("0x400140 R\n0x400180 W\n")  # same path, new contents
+    second_hash, second = run()
+    assert second_hash != first_hash
+    assert (first.accesses, second.accesses) == (3, 2)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -161,6 +161,14 @@ def test_ablation_lcr_policy():
     }
 
 
+def test_ablation_lcr_rows_are_distinct_policies():
+    rows = {row["policy"]: row for row in experiments.ablation_lcr_policy(quiet=True)}
+    lcr = [rows[name] for name in ("lcr-literal", "lcr-score+aging", "lcr-recency+aging")]
+    assert len({(row["aging"], row["bad_selection"]) for row in lcr}) == 3
+    assert rows["lcr-recency+aging"]["aging"] > 0
+    assert rows["lcr-recency+aging"]["bad_selection"] == "lru"
+
+
 def test_ablation_synergy():
     rows = experiments.ablation_synergy(quiet=True)
     by_name = {row["design"]: row for row in rows}

@@ -178,8 +178,10 @@ def test_no_pressure_no_flips():
 def test_window_reset_caps_pressure():
     """Pressure cannot accumulate across refresh-window boundaries."""
     memory = _memory()
+    # The stream's length scales with its threshold (512 gives 1,094 ops);
+    # the plans below use a threshold no stream reaches, so nothing flips.
     base_ops = boundary_hammer_ops(
-        memory, HammerConfig(threshold=10 ** 6), region="data", seed=0
+        memory, HammerConfig(threshold=512), region="data", seed=0
     )
     wide = plan_hammer(base_ops, memory, HammerConfig(threshold=10 ** 6,
                                                       window_ops=10 ** 6))
