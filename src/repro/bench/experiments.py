@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from ..core.config import CosmosConfig
 from ..core.overhead import compute_overhead
 from ..core.tuning import extract_footprint, tune_hyperparameters, tune_rewards
-from ..mem.hierarchy import HierarchyConfig
 from ..secure.engine import EngineConfig
 from ..sim.config import SimulationConfig
 from ..sim.simulator import Simulator, build_design
@@ -469,20 +468,7 @@ def figure15(
     for cores in core_counts:
         config = default_config(num_cores=cores)
         if cores != 4:
-            hierarchy = HierarchyConfig(
-                num_cores=cores,
-                l1=config.hierarchy.l1,
-                l2=config.hierarchy.l2,
-                llc=config.hierarchy.llc,
-            ).scaled_llc_for_cores()
-            config = SimulationConfig(
-                hierarchy=hierarchy,
-                memory_bytes=config.memory_bytes,
-                counter_scheme=config.counter_scheme,
-                engine=config.engine,
-                cosmos=config.cosmos,
-                cpu=config.cpu,
-            )
+            config = config.with_cores(cores)
         # All (design, workload) cells for this core count fan out as one
         # job matrix through repro.exec.
         matrix = run_design_matrix(

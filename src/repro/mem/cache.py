@@ -9,15 +9,16 @@ policy metadata per line and reports hits/misses/evictions, but does not
 model ports or MSHRs — consistent with the trace-driven methodology in
 DESIGN.md.
 
-:meth:`Cache.access` and :meth:`Cache.fill` are the innermost frames of the
-whole simulator (every trace access walks one to four caches), and
-:meth:`Cache.access_and_fill` is the Merkle walk's one call per node.  Under
-the default :class:`LRUPolicy` they bypass the policy object: each set's dict
-is kept in recency order (a hit moves the line to the end, a fill appends),
-so the victim is the set's first line, and the evicted :class:`CacheLine`
-is recycled for the incoming block instead of allocating a new one.  Other
-policies are dispatched through their callbacks and get a fresh line per
-fill.
+:meth:`Cache.access` and :meth:`Cache.fill` are among the innermost frames
+of the simulator, and :meth:`Cache.access_and_fill` is the Merkle walk's one
+call per node.  Under the default :class:`LRUPolicy` they bypass the policy
+object, and this is the one definition of the LRU set layout: each set's
+dict is kept in recency order (a hit moves the line to the end, a fill
+appends), so the victim is the set's first key, and the evicted
+:class:`CacheLine` is recycled for the incoming block instead of allocating
+a new one.  :meth:`repro.mem.hierarchy.MemoryHierarchy.access_block` works
+on its levels' set dicts directly under this layout.  Other policies are
+dispatched through their callbacks and get a fresh line per fill.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ class Cache:
     def set_index(self, block_address: int) -> int:
         """Set index for ``block_address`` (a block, not byte, address)."""
         return block_address & self._set_mask
-
-    def tag(self, block_address: int) -> int:
-        """Tag bits for ``block_address``."""
-        return block_address >> self.num_sets.bit_length() - 1 if self.num_sets > 1 else block_address
 
     # ------------------------------------------------------------------
     # Core operations

@@ -15,6 +15,7 @@ from typing import Callable, List, Optional
 from .access import MemoryAccess
 from .cache import Cache
 from .prefetchers import make_prefetcher
+from .replacement import CacheLine
 
 
 @dataclass
@@ -84,6 +85,12 @@ class HierarchyResult:
 
 class MemoryHierarchy:
     """Three-level multi-core hierarchy with inclusive fills.
+
+    Every level is an exact-LRU :class:`Cache` by construction:
+    :class:`HierarchyConfig` has no policy field and nothing assigns a
+    level's ``policy``, so :meth:`access_block` works on the levels' set
+    dicts directly.  The levels stay :class:`Cache` objects for their
+    statistics, ``set_contents``, ``flush`` and ``occupancy``.
 
     Args:
         config: Level geometry and latencies.
@@ -163,62 +170,169 @@ class MemoryHierarchy:
         is one of four shared frozen instances, so the common L1-hit case
         touches no heap allocation.
 
+        Every design runs this walk on every access, so it is one frame:
+        the L1, L2 and LLC probes, the L1 and L2 demand fills and the L2
+        prefetch fills work directly on each level's set dicts, in the LRU
+        set layout that :mod:`repro.mem.cache` defines.  Still called out:
+        the prefetcher's ``observe`` (once per L1 miss, whatever the
+        prefetcher kind) and the rarer events: LLC fills, a dirty victim's
+        writeback into the next level's :meth:`Cache.fill`, and the
+        design's sinks.  The side effects keep the method-based walk's
+        order, which ``tests/test_hierarchy.py`` keeps as the reference:
+        prefetches before the L2 probe, fills LLC -> L2 -> L1, and a dirty
+        victim's writeback before the incoming line is inserted.
+
         The walk is sequential (L1 -> L2 -> LLC) as in the baseline secure
         memory design; early/parallel CTR access is modelled by the secure
         designs on top of the returned :class:`HierarchyResult`.
         """
-        if core >= self._num_cores:
+        if not 0 <= core < self._num_cores:
             raise ValueError(
                 f"access from core {core} but hierarchy has {self._num_cores} cores"
             )
         l1 = self.l1[core]
-        if l1.access(block, is_write):
+        l1_set = l1._sets[block & l1._set_mask]
+        line = l1_set.pop(block, None)
+        if line is not None:
+            stats = l1.stats
+            stats.hits += 1
+            if line.prefetched and not line.referenced:
+                stats.prefetch_useful += 1
+            line.referenced = True
+            if is_write:
+                line.dirty = True
+            l1_set[block] = line
             return self._result_l1
+        l1.stats.misses += 1
         l2 = self.l2[core]
+        l2_sets = l2._sets
+        l2_mask = l2._set_mask
         llc = self.llc
-        # Feed the per-core L2 prefetcher with the L1-miss stream (inlined:
-        # this runs on every L1 miss).  Prefetched blocks fill L2 (and LLC
-        # when they come from memory); fills from memory are reported
-        # through ``prefetch_fill_sink`` so the owning design can charge
-        # DRAM traffic — and, for protected designs, the counter fetch the
-        # decryption needs.
+        # Feed the per-core L2 prefetcher with the L1-miss stream.
+        # Prefetched blocks fill L2 (and LLC when they come from memory);
+        # fills from memory are reported through ``prefetch_fill_sink`` so
+        # the owning design can charge DRAM traffic — and, for protected
+        # designs, the counter fetch the decryption needs.
         prefetchers = self._prefetchers
-        if prefetchers is not None:
-            for candidate in prefetchers[core].observe(block):
-                if candidate < 0 or l2.lookup(candidate):
+        candidates = prefetchers[core].observe(block) if prefetchers is not None else ()
+        if candidates:
+            llc_sets = llc._sets
+            llc_mask = llc._set_mask
+            l2_assoc = l2.assoc
+            for candidate in candidates:
+                if candidate < 0:
                     continue
-                if not llc.lookup(candidate):
+                target_set = l2_sets[candidate & l2_mask]
+                if candidate in target_set:
+                    continue
+                if candidate not in llc_sets[candidate & llc_mask]:
                     if self.prefetch_fill_sink is not None:
                         self.prefetch_fill_sink(candidate)
                     llc.fill(candidate, prefetched=True)
-                l2.fill(candidate, prefetched=True)
-        if l2.access(block, is_write):
-            l1.fill(block, dirty=is_write)
-            return self._result_l2
-        if llc.access(block, is_write):
-            l2.fill(block)
-            l1.fill(block, dirty=is_write)
-            return self._result_llc
-        self.fill_from_memory(block, core, dirty=is_write)
-        return self._result_mem
+                # l2.fill(candidate, prefetched=True); the candidate is absent.
+                if len(target_set) < l2_assoc:
+                    line = CacheLine(candidate)
+                else:
+                    victim = next(iter(target_set))
+                    line = target_set.pop(victim)
+                    stats = l2.stats
+                    stats.evictions += 1
+                    if line.prefetched and not line.referenced:
+                        stats.prefetch_evicted_unused += 1
+                    if line.dirty:
+                        stats.writebacks += 1
+                        llc.fill(victim, dirty=True)
+                    line.tag = candidate
+                    line.referenced = False
+                    line.locality_flag = 1
+                    line.locality_score = 0
+                    line.dirty = False
+                line.prefetched = True
+                target_set[candidate] = line
+        l2_set = l2_sets[block & l2_mask]
+        line = l2_set.pop(block, None)
+        if line is not None:
+            stats = l2.stats
+            stats.hits += 1
+            if line.prefetched and not line.referenced:
+                stats.prefetch_useful += 1
+            line.referenced = True
+            if is_write:
+                line.dirty = True
+            l2_set[block] = line
+            result = self._result_l2
+        else:
+            l2.stats.misses += 1
+            llc_set = llc._sets[block & llc._set_mask]
+            line = llc_set.pop(block, None)
+            if line is not None:
+                stats = llc.stats
+                stats.hits += 1
+                if line.prefetched and not line.referenced:
+                    stats.prefetch_useful += 1
+                line.referenced = True
+                if is_write:
+                    line.dirty = True
+                llc_set[block] = line
+                result = self._result_llc
+            else:
+                llc.stats.misses += 1
+                llc.fill(block)
+                result = self._result_mem
+            # l2.fill(block); the block missed L2 above.
+            if len(l2_set) < l2.assoc:
+                line = CacheLine(block)
+            else:
+                victim = next(iter(l2_set))
+                line = l2_set.pop(victim)
+                stats = l2.stats
+                stats.evictions += 1
+                if line.prefetched and not line.referenced:
+                    stats.prefetch_evicted_unused += 1
+                if line.dirty:
+                    stats.writebacks += 1
+                    llc.fill(victim, dirty=True)
+                line.tag = block
+                line.referenced = False
+                line.locality_flag = 1
+                line.locality_score = 0
+                line.dirty = False
+                line.prefetched = False
+            l2_set[block] = line
+        # l1.fill(block, dirty=is_write); the block missed L1 above.
+        if len(l1_set) < l1.assoc:
+            line = CacheLine(block)
+        else:
+            victim = next(iter(l1_set))
+            line = l1_set.pop(victim)
+            stats = l1.stats
+            stats.evictions += 1
+            if line.prefetched and not line.referenced:
+                stats.prefetch_evicted_unused += 1
+            if line.dirty:
+                stats.writebacks += 1
+                l2.fill(victim, dirty=True)
+            line.tag = block
+            line.referenced = False
+            line.locality_flag = 1
+            line.locality_score = 0
+            line.prefetched = False
+        line.dirty = is_write
+        l1_set[block] = line
+        return result
 
     def probe_on_chip(self, block_address: int, core: int) -> bool:
         """Non-destructive residency check across L1/L2/LLC for ``core``.
 
-        Used as ground truth by the data-location predictor's training
-        process (the "observable" in the paper's Sec. 4.1.2).
+        Changes no state.  The designs train the data-location predictor
+        on ``not result.needs_memory`` from :meth:`access_block`, not on
+        this probe; it is kept for inspecting a hierarchy's state.
         """
         return (
             self.l1[core].lookup(block_address)
             or self.l2[core].lookup(block_address)
             or self.llc.lookup(block_address)
         )
-
-    def fill_from_memory(self, block_address: int, core: int, dirty: bool = False) -> None:
-        """Install a block fetched from DRAM into LLC, L2 and L1."""
-        self.llc.fill(block_address)
-        self.l2[core].fill(block_address)
-        self.l1[core].fill(block_address, dirty=dirty)
 
     def flush(self) -> None:
         """Flush every level (dirty LLC lines reach the writeback sink)."""

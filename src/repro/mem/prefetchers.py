@@ -82,9 +82,11 @@ class StridePrefetcher(Prefetcher):
         prefetches = self._EMPTY
         if stride == last_stride:
             if state == self._STEADY:
-                prefetches = [
-                    block_address + stride * step for step in range(1, self.degree + 1)
-                ]
+                # block + stride, ..., block + degree * stride: the same list
+                # as a comprehension (stride != 0 here), without its frame.
+                prefetches = list(
+                    range(block_address + stride, block_address + stride * (self.degree + 1), stride)
+                )
             new_state = self._STEADY
         else:
             new_state = self._TRANSIENT

@@ -55,22 +55,10 @@ class SimulationConfig:
             scale_llc: Scale the shared LLC at 2MB per core, as the paper
                 does for its 8-core experiment.
         """
-        hierarchy = HierarchyConfig(
-            num_cores=num_cores,
-            l1=self.hierarchy.l1,
-            l2=self.hierarchy.l2,
-            llc=self.hierarchy.llc,
-        )
+        hierarchy = replace(self.hierarchy, num_cores=num_cores)
         if scale_llc:
             hierarchy = hierarchy.scaled_llc_for_cores()
-        return SimulationConfig(
-            hierarchy=hierarchy,
-            memory_bytes=self.memory_bytes,
-            counter_scheme=self.counter_scheme,
-            engine=self.engine,
-            cosmos=self.cosmos,
-            cpu=self.cpu,
-        )
+        return replace(self, hierarchy=hierarchy)
 
     def with_ctr_cache_bytes(self, size_bytes: int) -> "SimulationConfig":
         """A copy with a different baseline CTR-cache capacity (Fig. 3).

@@ -46,6 +46,11 @@ _READ_OPS = frozenset({"R", "RD", "LD", "READ", "L", "LOAD"})
 _WRITE_OPS = frozenset({"W", "WR", "ST", "WRITE", "S", "STORE", "P", "PIM"})
 
 
+#: Largest byte address and core id the packed trace arrays can hold.
+_MAX_ADDRESS = int(np.iinfo(ADDRESS_DTYPE).max)
+_MAX_CORE = int(np.iinfo(CORE_DTYPE).max)
+
+
 class TraceFormatError(ValueError):
     """A trace file line could not be parsed under the declared format."""
 
@@ -153,8 +158,10 @@ def load_external_trace(
     ``fmt`` is ``"ramulator"``, ``"gem5"`` or ``"auto"`` (sniff the first
     data line).  ``max_accesses`` stops parsing early — useful for
     multi-GB traces.  Raises :class:`TraceFormatError` (with file and
-    line number) on the first malformed line, and ``ValueError`` if the
-    file holds no requests at all.
+    line number) on the first malformed line, including an address or
+    core id outside the range of the packed arrays (a negative address, a
+    core outside ``[0, 32767]``), and ``ValueError`` if the file holds no
+    requests at all.
     """
     path = Path(path)
     if fmt == "auto":
@@ -170,6 +177,16 @@ def load_external_trace(
     with _open_text(path) as handle:
         for number, line in _data_lines(handle):
             address, access_type, core = parse(path, number, line)
+            if not 0 <= address <= _MAX_ADDRESS:
+                raise TraceFormatError(
+                    f"{path}:{number}: address {address} outside "
+                    f"[0, {_MAX_ADDRESS}] in trace line {line!r}"
+                )
+            if not 0 <= core <= _MAX_CORE:
+                raise TraceFormatError(
+                    f"{path}:{number}: core {core} outside [0, {_MAX_CORE}] "
+                    f"in trace line {line!r}"
+                )
             addresses.append(address)
             types.append(access_type)
             cores.append(core)

@@ -49,6 +49,15 @@ def test_factory_rejects_unknown():
 
 
 @pytest.mark.parametrize("name", ALL_DESIGNS)
+def test_negative_core_rejected(name):
+    # Core -1 must not run on the last core's private caches.
+    kwargs = tiny_kwargs() if name == "np" else protected_kwargs()
+    design = make_design(name, **kwargs)
+    with pytest.raises(ValueError, match="core -1"):
+        design.process(MemoryAccess(0, core=-1))
+
+
+@pytest.mark.parametrize("name", ALL_DESIGNS)
 def test_every_design_processes_accesses(name):
     kwargs = tiny_kwargs() if name == "np" else protected_kwargs()
     design = make_design(name, **kwargs)

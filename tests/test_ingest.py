@@ -116,6 +116,22 @@ class TestFormatHandling:
         trace = load_external_trace(ram_path, max_accesses=2)
         assert len(trace) == 2
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("0x1000 R 0\n0x2000 W -1\n0x3000 R -2\n", "core -1"),
+            ("0x1000 R 0\n0x2000 R 40000\n", "core 40000"),
+            ("0x1000 R\n-4096 W\n", "address -4096"),
+            ("1000,ReadReq,0x100\n2000,WriteReq,-4096\n", "address -4096"),
+        ],
+    )
+    def test_out_of_range_values_raise_with_location(self, tmp_path, text, what):
+        # Line 2 holds the bad value in every case.
+        path = tmp_path / "range.trace"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=rf"range\.trace:2: {what} outside"):
+            load_external_trace(path)
+
 
 class TestRunnerIntegration:
     def test_trace_prefix_resolves(self, ram_path):

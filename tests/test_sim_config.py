@@ -1,5 +1,7 @@
 """Tests for simulation configuration (Table 3 encoding and scaling)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import CosmosConfig, Hyperparameters
@@ -87,3 +89,6 @@ class TestCosmosConfigDefaults:
         assert eight.engine.ctr_cache_bytes == base.engine.ctr_cache_bytes
         assert eight.cosmos is base.cosmos
         assert eight.hierarchy.l1.size_bytes == base.hierarchy.l1.size_bytes
+        base = replace(base, hierarchy=replace(base.hierarchy, l2_prefetcher="none"))
+        for scale_llc in (True, False):
+            assert base.with_cores(4, scale_llc=scale_llc).hierarchy.l2_prefetcher == "none"
