@@ -1,5 +1,9 @@
 """Unit tests for the CTR cache."""
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 from repro.core.lcr_cache import FLAG_BAD, FLAG_GOOD, LcrReplacementPolicy
 from repro.secure.counters import MorphCtrCounters
 from repro.secure.ctr_cache import CtrCache
@@ -83,3 +87,85 @@ def test_write_access_marks_line_dirty():
     for line_index in range(1, 4096):
         cache.access(line_index * 128)
     assert cache.ctr_block_address(0) in written
+
+
+# ----------------------------------------------------------------------
+# access_index against the access-fill-tag reference
+# ----------------------------------------------------------------------
+def _reference_access_index(self, ctr_index, is_write=False, locality_flag=None,
+                            locality_score=None):
+    """``CtrCache.access_index`` as three cache calls: ``access``, ``fill``
+    on a miss, then ``get_line`` for the tag; ``self`` is the CTR cache."""
+    ctr_address = self.layout.ctr_block_address(ctr_index)
+    cache = self.cache
+    stats = self.stats
+    hit = cache.access(ctr_address, is_write)
+    if hit:
+        stats.hits += 1
+    else:
+        stats.misses += 1
+        cache.fill(ctr_address, dirty=is_write)
+    if locality_flag is not None:
+        line = cache.get_line(ctr_address)
+        if line is not None:
+            line.locality_flag = locality_flag
+            if locality_score is not None:
+                line.locality_score = locality_score
+        if locality_flag:
+            stats.good_locality_tags += 1
+        else:
+            stats.bad_locality_tags += 1
+    return hit
+
+
+_POLICIES = {
+    "lru": lambda: None,
+    "lcr-score": lambda: LcrReplacementPolicy(),
+    "lcr-score-aging": lambda: LcrReplacementPolicy(aging=1),
+    "lcr-lru": lambda: LcrReplacementPolicy(bad_selection="lru"),
+    "lcr-lru-aging": lambda: LcrReplacementPolicy(aging=1, bad_selection="lru"),
+}
+
+# 64 counter lines on 16 lines of cache, so sets fill and evict; the flag
+# is absent, bad or good, and a score may come with it or not.
+_CTR_ACCESSES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),  # counter-line index
+        st.booleans(),  # is_write
+        st.sampled_from([None, FLAG_BAD, FLAG_GOOD]),
+        st.one_of(st.none(), st.integers(min_value=-128, max_value=127)),
+    ),
+    min_size=20,
+    max_size=400,
+)
+
+_LINE_SLOTS = ("tag", "dirty", "prefetched", "referenced", "locality_flag",
+               "locality_score", "lru_tick")
+
+
+def _recorded_ctr_cache(policy, writebacks):
+    cache = make_ctr_cache(size=1024, policy=policy)  # 4 sets x 4 ways
+    cache.cache.writeback_sink = writebacks.append
+    return cache
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+@settings(max_examples=60, deadline=None)
+@given(accesses=_CTR_ACCESSES)
+def test_access_index_matches_access_fill_tag_reference(policy, accesses):
+    fast_writebacks, ref_writebacks = [], []
+    fast = _recorded_ctr_cache(_POLICIES[policy](), fast_writebacks)
+    ref = _recorded_ctr_cache(_POLICIES[policy](), ref_writebacks)
+    for index, is_write, flag, score in accesses:
+        assert fast.access_index(index, is_write, flag, score) == (
+            _reference_access_index(ref, index, is_write, flag, score))
+    for set_index in range(fast.cache.num_sets):
+        assert [[getattr(line, slot) for slot in _LINE_SLOTS]
+                for line in fast.cache.set_contents(set_index)] == [
+            [getattr(line, slot) for slot in _LINE_SLOTS]
+            for line in ref.cache.set_contents(set_index)
+        ], set_index
+    assert fast.cache.stats == ref.cache.stats
+    assert fast.stats == ref.stats
+    assert fast_writebacks == ref_writebacks
+    assert vars(fast.cache.policy) == vars(ref.cache.policy)

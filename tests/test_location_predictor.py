@@ -2,6 +2,10 @@
 
 import random
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 from repro.core.config import CosmosConfig, Hyperparameters
 from repro.core.location_predictor import (
     OFF_CHIP,
@@ -10,9 +14,9 @@ from repro.core.location_predictor import (
 )
 
 
-def make_predictor(epsilon=0.0):
+def make_predictor(epsilon=0.0, num_states=2048):
     hyper = Hyperparameters(epsilon_d=epsilon)
-    return DataLocationPredictor(CosmosConfig(num_states=2048, hyper=hyper))
+    return DataLocationPredictor(CosmosConfig(num_states=num_states, hyper=hyper))
 
 
 def test_predict_returns_action_and_state():
@@ -103,3 +107,39 @@ def test_adapts_after_phase_change():
         predictor.train(state, action, actually_on_chip=False)
     action, _ = predictor.predict(5)
     assert action == OFF_CHIP
+
+
+# ----------------------------------------------------------------------
+# The fused step against the two-call reference
+# ----------------------------------------------------------------------
+# Blocks come from a small pool, so they repeat, mixed with fresh ones up
+# to bit 47; 64 states make distinct blocks share a Q-table row.
+_LOCATION_STREAMS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=0, max_value=15),
+            st.integers(min_value=0, max_value=(1 << 48) - 1),
+        ),
+        st.booleans(),  # actually on-chip
+    ),
+    min_size=20,
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+@settings(max_examples=60, deadline=None)
+@given(steps=_LOCATION_STREAMS)
+def test_fused_step_matches_predict_then_train(epsilon, steps):
+    fused = make_predictor(epsilon, num_states=64)
+    reference = make_predictor(epsilon, num_states=64)
+    for block, on_chip in steps:
+        action, state = reference.predict(block)
+        reference.train(state, action, on_chip)
+        assert fused.predict_and_train(block, on_chip) == action
+    assert fused.stats == reference.stats
+    mine, theirs = fused._selector, reference._selector
+    assert (mine.explorations, mine.exploitations) == (
+        theirs.explorations, theirs.exploitations)
+    assert mine._rng.getstate() == theirs._rng.getstate()
+    assert fused.q_table._table == reference.q_table._table
