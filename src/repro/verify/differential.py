@@ -261,8 +261,18 @@ def check_invariants(design: SecureDesign) -> List[str]:
             f"mac_in_ecc design issued {traffic.mac_accesses} MAC accesses"
         )
     ctr_stats = engine.ctr_cache.stats
-    if ctr_stats.hits + ctr_stats.misses != ctr_stats.accesses:
-        problems.append("ctr-cache hits + misses != accesses")
+    cache_stats = engine.ctr_cache.cache.stats
+    if traffic.ctr_reads != ctr_stats.misses + cache_stats.prefetch_issued:
+        problems.append(
+            "every counter-line DRAM read is a CTR-cache miss or a CTR "
+            f"prefetch: ctr_reads ({traffic.ctr_reads}) != ctr-cache misses "
+            f"({ctr_stats.misses}) + prefetches ({cache_stats.prefetch_issued})"
+        )
+    if (ctr_stats.hits, ctr_stats.misses) != (cache_stats.hits, cache_stats.misses):
+        problems.append(
+            f"ctr-cache hits/misses ({ctr_stats.hits}/{ctr_stats.misses}) != "
+            f"its cache's ({cache_stats.hits}/{cache_stats.misses})"
+        )
     return problems
 
 
