@@ -11,11 +11,11 @@ quantised Q-score) drives the LCR-CTR cache replacement policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cet import CtrEvaluationTable
 from .config import CosmosConfig
-from .hashing import hash_block
+from .hashing import STATE_MEMO_ENTRIES, hash_block
 from .rl import Q_MAX, Q_MIN, EpsilonGreedy, QTable
 
 #: Action indices.
@@ -70,6 +70,9 @@ class CtrLocalityPredictor:
         self._rewards = self.config.ctr_rewards
         self._num_states = self.config.num_states
         self.stats = LocalityPredictorStats()
+        # Counter line -> its state, so a repeated line skips the hash.
+        # States, not Q-rows: the CET entries record states.
+        self._states: Dict[int, int] = {}
 
     def state_of(self, ctr_block: int) -> int:
         """Hashed RL state for a counter-line address."""
@@ -91,10 +94,17 @@ class CtrLocalityPredictor:
         The selection and Q-update helpers are inlined (same operations,
         RNG order and counters as the :class:`~repro.core.rl` reference
         implementations) — this runs on every CTR access of a COSMOS
-        design, so the call overhead is measurable.
+        design, so the call overhead is measurable.  For the same reason
+        the state comes from a memo, and only a line not seen since the
+        memo was last cleared is hashed.
         """
         table = self.q_table._table
-        state = hash_block(ctr_block, self._num_states)
+        states = self._states
+        state = states.get(ctr_block)
+        if state is None:
+            if len(states) >= STATE_MEMO_ENTRIES:
+                states.clear()
+            state = states[ctr_block] = hash_block(ctr_block, self._num_states)
         row = table[state]
         selector = self._selector
         if selector._random() < selector.epsilon:

@@ -11,10 +11,10 @@ walk — supplies the reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import CosmosConfig
-from .hashing import hash_block
+from .hashing import STATE_MEMO_ENTRIES, hash_block
 from .rl import Q_MAX, Q_MIN, EpsilonGreedy, QTable
 
 #: Action indices.
@@ -99,6 +99,10 @@ class DataLocationPredictor:
         self._rewards = self.config.data_rewards
         self._num_states = self.config.num_states
         self.stats = LocationPredictorStats()
+        # Block address -> the Q-row of its state, so a repeated block
+        # skips the hash.  Only constructors assign q_table and
+        # QTable._table, so a stored row is always the live row.
+        self._rows: Dict[int, List[float]] = {}
 
     def state_of(self, block_address: int) -> int:
         """Hashed RL state for a data block address."""
@@ -124,13 +128,21 @@ class DataLocationPredictor:
         grading and the Q-update are inlined here with the exact same
         operations, RNG order and counters as the two-call form (which
         remains the reference implementation).  This runs once per L1
-        miss and is the single hottest COSMOS frame.
+        miss and is the single hottest COSMOS frame, so the block's
+        Q-row comes from a memo and only a block not seen since the memo
+        was last cleared is hashed.
 
         Returns:
             The selected action (:data:`ON_CHIP` or :data:`OFF_CHIP`).
         """
-        state = hash_block(block_address, self._num_states)
-        row = self.q_table._table[state]
+        rows = self._rows
+        row = rows.get(block_address)
+        if row is None:
+            if len(rows) >= STATE_MEMO_ENTRIES:
+                rows.clear()
+            row = rows[block_address] = self.q_table._table[
+                hash_block(block_address, self._num_states)
+            ]
         selector = self._selector
         if selector._random() < selector.epsilon:
             selector.explorations += 1

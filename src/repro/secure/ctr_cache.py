@@ -120,22 +120,24 @@ class CtrCache:
     ) -> bool:
         """Like :meth:`access` but keyed by an already-computed counter-line
         index — the engine's hot path resolves the index once and shares it
-        between the cache lookup and the integrity walk."""
+        between the classifier, the cache lookup and the integrity walk.
+
+        One :meth:`~repro.mem.cache.Cache.access_and_fill` call probes the
+        cache and fills it on a miss, so the line is resident afterwards
+        and is tagged straight from its set."""
         ctr_address = self.layout.ctr_block_address(ctr_index)
         cache = self.cache
         stats = self.stats
-        hit = cache.access(ctr_address, is_write)
+        hit = cache.access_and_fill(ctr_address, is_write)
         if hit:
             stats.hits += 1
         else:
             stats.misses += 1
-            cache.fill(ctr_address, dirty=is_write)
         if locality_flag is not None:
-            line = cache.get_line(ctr_address)
-            if line is not None:
-                line.locality_flag = locality_flag
-                if locality_score is not None:
-                    line.locality_score = locality_score
+            line = cache._sets[ctr_address & cache._set_mask][ctr_address]
+            line.locality_flag = locality_flag
+            if locality_score is not None:
+                line.locality_score = locality_score
             if locality_flag:
                 stats.good_locality_tags += 1
             else:

@@ -32,8 +32,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.config import CosmosConfig
 from ..core.cosmos import CosmosController, CosmosVariant
-from ..core.lcr_cache import FLAG_GOOD, LcrReplacementPolicy
-from ..core.locality_predictor import GOOD_LOCALITY
+from ..core.lcr_cache import LcrReplacementPolicy
 from ..core.location_predictor import OFF_CHIP
 from ..mem.access import MemoryAccess
 from ..mem.dram import DramModel
@@ -262,7 +261,7 @@ class ProtectedDesign(SecureDesign):
         # A prefetched line still needs its counter for decryption: the
         # fetch and the CTR path are charged as background traffic.
         self.engine.read_data(block_address, now=self._now)
-        self._ctr_access(block_address, self._now)
+        self.engine.ctr_access(block_address, now=self._now)
 
     def reset_stats(self) -> None:
         super().reset_stats()
@@ -311,14 +310,10 @@ class ProtectedDesign(SecureDesign):
     # ------------------------------------------------------------------
     def _memory_latency_sequential(self, block: int, lookup_latency: int, now: int) -> int:
         """Baseline path: CTR access starts only after the LLC miss."""
-        _, ctr_latency = self._ctr_access(block, now)
+        _, ctr_latency = self.engine.ctr_access(block, now=now)
         data_latency = self.engine.read_data(block, now=now)
         otp_ready = self.engine.decrypt_ready_latency(ctr_latency)
         return lookup_latency + max(data_latency, otp_ready) + self.engine.config.auth_latency
-
-    def _ctr_access(self, block: int, now: int = 0):
-        """CTR-cache access; subclasses add RL locality tags."""
-        return self.engine.ctr_access(block, now=now)
 
 
 class MorphCtrDesign(ProtectedDesign):
@@ -363,7 +358,7 @@ class EarlyCtrDesign(ProtectedDesign):
             self._now = now + 1 + result.lookup_latency
             return result.lookup_latency
         stats.l1_misses += 1
-        _, ctr_latency = self._ctr_access(block_address, now)
+        _, ctr_latency = self.engine.ctr_access(block_address, now=now)
         if not result.needs_memory:
             self._now = now + 1 + result.lookup_latency
             return result.lookup_latency
@@ -493,21 +488,19 @@ class CosmosDesign(ProtectedDesign):
             )
         super().__init__(hierarchy_config, layout, engine_config, counter_scheme)
         self.controller = CosmosController(self.cosmos_config, self.variant)
-        # Predictor references hoisted for the hot path (None when the
-        # variant disables them); reset_stats() swaps their stats objects,
-        # never the predictors themselves, so these stay valid.
+        # Predictor reference hoisted for the hot path (None when the
+        # variant disables it); reset_stats() swaps its stats object, never
+        # the predictor itself, so this stays valid.
         self._location = self.controller.location
-        self._locality = self.controller.locality
         if self.variant.ctr_predictor:
-            self.engine.ctr_classifier = self._classify_ctr_index
+            # The engine tags every CTR access through the controller,
+            # which looks the locality predictor's predict up at each call.
+            self.engine.ctr_classifier = self.controller.classify_ctr
 
     def _make_ctr_policy(self):
         if self.variant.ctr_predictor:
             return LcrReplacementPolicy()
         return None
-
-    def _classify_ctr_index(self, ctr_index: int):
-        return self.controller.classify_ctr(ctr_index)
 
     def reset_stats(self) -> None:
         super().reset_stats()
@@ -526,16 +519,6 @@ class CosmosDesign(ProtectedDesign):
         probes = super().obs_probes()
         probes.update(self.controller.obs_probes())
         return probes
-
-    def _ctr_access(self, block: int, now: int = 0):
-        flag = score = None
-        locality = self._locality
-        if locality is not None:
-            action, score = locality.predict(self.engine.scheme.ctr_index(block))
-            flag = FLAG_GOOD if action == GOOD_LOCALITY else 0
-        return self.engine.ctr_access(
-            block, locality_flag=flag, locality_score=score, now=now
-        )
 
     def process_fast(self, block_address: int, is_write: bool, core: int) -> int:
         stats = self.stats
@@ -557,7 +540,7 @@ class CosmosDesign(ProtectedDesign):
             predicted_off = False
         engine = self.engine
         if predicted_off:
-            _, ctr_latency = self._ctr_access(block, now)
+            _, ctr_latency = engine.ctr_access(block, now=now)
             if result.needs_memory:
                 # Correct off-chip prediction: bypass L2/LLC on the data path.
                 stats.llc_misses += 1
@@ -579,7 +562,7 @@ class CosmosDesign(ProtectedDesign):
             # Wrong (or absent) on-chip prediction: sequential fallback.
             stats.llc_misses += 1
             stats.fallback_fetches += 1
-            _, ctr_latency = self._ctr_access(block, now)
+            _, ctr_latency = engine.ctr_access(block, now=now)
             data_latency = engine.read_data(block, now=now)
             otp_ready = engine.decrypt_ready_latency(ctr_latency)
             latency = (
@@ -629,15 +612,15 @@ class CosmosEarlyDesign(CosmosDesign):
         else:
             predicted_off = False
         l1_latency = self._l1_latency
+        engine = self.engine
         # Universal early probe: every L1 miss touches the CTR cache.
-        _, ctr_latency = self._ctr_access(block, now)
+        _, ctr_latency = engine.ctr_access(block, now=now)
         if not result.needs_memory:
             if predicted_off:
                 stats.killed_fetches += 1
             self._now = now + 1 + result.lookup_latency
             return result.lookup_latency
         stats.llc_misses += 1
-        engine = self.engine
         data_latency = engine.read_data(block, now=now)
         otp_ready = l1_latency + engine.decrypt_ready_latency(ctr_latency)
         if predicted_off:

@@ -111,7 +111,7 @@ class SecureMemoryEngine:
         # at the same cycle and contend for banks/bus accordingly.
         self._now = 0
         # Optional hook set by COSMOS designs: maps a counter-line index to
-        # a (locality_flag, locality_score) tag for write-path CTR accesses.
+        # the (locality_flag, locality_score) tag of every CTR access.
         self.ctr_classifier = None
         # Optional observability event ring (repro.obs).  None keeps the
         # write path free of any recording; when attached, only the rare
@@ -149,14 +149,13 @@ class SecureMemoryEngine:
     # Counter path
     # ------------------------------------------------------------------
     def ctr_access(
-        self,
-        data_block: int,
-        is_write: bool = False,
-        locality_flag: Optional[int] = None,
-        locality_score: Optional[int] = None,
-        now: int = 0,
+        self, data_block: int, is_write: bool = False, now: int = 0
     ) -> Tuple[bool, int]:
         """Access the counter line covering ``data_block`` at cycle ``now``.
+
+        With a :attr:`ctr_classifier` set (COSMOS's CTR locality
+        predictor), the access is classified first and the resident line
+        tagged with the result.
 
         Returns:
             ``(hit, latency)`` where latency covers the CTR-cache lookup
@@ -169,9 +168,10 @@ class SecureMemoryEngine:
         config = self.config
         latency = config.ctr_lookup_latency + config.ctr_combine_latency
         ctr_index = self.scheme.ctr_index(data_block)
-        hit = self.ctr_cache.access_index(
-            ctr_index, is_write, locality_flag, locality_score
-        )
+        flag = score = None
+        if self.ctr_classifier is not None:
+            flag, score = self.ctr_classifier(ctr_index)
+        hit = self.ctr_cache.access_index(ctr_index, is_write, flag, score)
         if not hit:
             ctr_address = self.layout.ctr_block_address(ctr_index)
             latency += self.dram.request(ctr_address, now=now)
@@ -250,12 +250,7 @@ class SecureMemoryEngine:
                     dram_requests=event.dram_requests,
                     writes_seen=self.events.writes_seen,
                 )
-        flag = score = None
-        if self.ctr_classifier is not None:
-            flag, score = self.ctr_classifier(self.scheme.ctr_index(data_block))
-        self.ctr_access(
-            data_block, is_write=True, locality_flag=flag, locality_score=score, now=now
-        )
+        self.ctr_access(data_block, is_write=True, now=now)
         self.traffic.data_writes += 1
         self.dram.request(data_block, is_write=True, now=now)
         self._charge_mac(data_block)

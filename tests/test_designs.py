@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.core import locality_predictor, location_predictor
 from repro.core.cosmos import CosmosVariant
 from repro.mem.access import AccessType, MemoryAccess
 from repro.mem.hierarchy import HierarchyConfig, LevelConfig
 from repro.secure.designs import CosmosDesign, make_design
 from repro.secure.engine import EngineConfig
 from repro.secure.layout import SecureLayout
+from repro.sim.config import small_test_config
+from repro.sim.simulator import Simulator, build_design
+from repro.workloads import generate_db_trace
 
 
 def tiny_kwargs(prefetcher="none"):
@@ -204,3 +208,44 @@ def test_prefetch_fill_charges_secure_traffic():
     # Sequential stream: the L2 prefetcher issued fills that were charged
     # as data reads beyond the demand misses.
     assert design.traffic().data_reads > design.stats.llc_misses
+
+
+# ----------------------------------------------------------------------
+# The predictors' bounded address-to-state memos
+# ----------------------------------------------------------------------
+class _RecordingMemo(dict):
+    """A memo dict that records the most entries it held and its clears."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def _cosmos_payload(config, trace, memos=None):
+    design = build_design("cosmos", config)
+    if memos is not None:
+        design.controller.location._rows, design.controller.locality._states = memos
+    return Simulator(design, config).run(trace).to_dict()
+
+
+def test_state_memo_cap_changes_no_output(monkeypatch):
+    config = small_test_config(1)
+    # A third of hashjoin's accesses are writes, so both the read and the
+    # write path classify CTR accesses.
+    trace = generate_db_trace("hashjoin", num_cores=1, max_accesses=3000, seed=1)
+    default = _cosmos_payload(config, trace)
+    monkeypatch.setattr(location_predictor, "STATE_MEMO_ENTRIES", 3)
+    monkeypatch.setattr(locality_predictor, "STATE_MEMO_ENTRIES", 3)
+    memos = (_RecordingMemo(), _RecordingMemo())
+    assert _cosmos_payload(config, trace, memos) == default
+    assert [memo.peak for memo in memos] == [3, 3]
+    assert all(memo.clears for memo in memos)
