@@ -82,6 +82,24 @@ def test_ctr_classifier_hook_used_on_writes():
     assert line.locality_score == 7
 
 
+def test_ctr_classifier_tags_every_ctr_access():
+    engine = make_engine()
+    seen = []
+
+    def classifier(ctr_index):
+        seen.append(ctr_index)
+        return 0, len(seen)
+
+    engine.ctr_classifier = classifier
+    engine.ctr_access(300)  # miss
+    engine.ctr_access(301)  # hit on the same counter line, re-tagged
+    index = engine.scheme.ctr_index(300)
+    assert seen == [index, index]
+    line = engine.ctr_cache.cache.get_line(engine.ctr_cache.ctr_block_address(300))
+    assert (line.locality_flag, line.locality_score) == (0, 2)
+    assert engine.ctr_cache.stats.bad_locality_tags == 2
+
+
 def test_dirty_ctr_eviction_counts_ctr_write():
     engine = make_engine(ctr_cache_bytes=4 * 1024, ctr_cache_assoc=4)  # 64 lines
     engine.ctr_access(0, is_write=True)
