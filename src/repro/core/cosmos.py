@@ -8,7 +8,8 @@ designs call:
 * :meth:`train_location` — grade that classification once the concurrent
   cache walk reveals the truth;
 * :meth:`classify_ctr` — tag a CTR access with a locality flag + score for
-  the LCR-CTR cache.
+  the LCR-CTR cache (a COSMOS design installs it as the engine's
+  ``ctr_classifier``, which runs it on every CTR access).
 
 Either predictor can be disabled to build the paper's COSMOS-DP (data
 predictor only) and COSMOS-CP (CTR predictor only) ablations (Table 4).
