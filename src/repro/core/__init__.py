@@ -8,7 +8,6 @@ from .config import (
     Hyperparameters,
 )
 from .cosmos import CosmosController, CosmosVariant
-from .introspection import PolicySnapshot, policy_agreement, q_value_histogram, snapshot_policy
 from .hashing import DEFAULT_NUM_STATES, hash_address, hash_block, splitmix64
 from .lcr_cache import FLAG_BAD, FLAG_GOOD, LcrReplacementPolicy
 from .locality_predictor import (
@@ -50,13 +49,9 @@ __all__ = [
     "OFF_CHIP",
     "ON_CHIP",
     "OverheadReport",
-    "PolicySnapshot",
     "QTable",
     "compute_overhead",
     "hash_address",
-    "policy_agreement",
-    "q_value_histogram",
-    "snapshot_policy",
     "hash_block",
     "splitmix64",
 ]

@@ -20,13 +20,7 @@ from .options import (
     set_options,
 )
 from .runner import ExecutionError, ParallelRunner, dedupe_specs
-from .telemetry import (
-    MANIFEST_VERSION,
-    JobRecord,
-    ProgressTicker,
-    RunReport,
-    load_manifest,
-)
+from .telemetry import MANIFEST_VERSION, JobRecord, ProgressTicker, RunReport
 from .worker import run_job
 
 __all__ = [
@@ -41,7 +35,6 @@ __all__ = [
     "ResultCache",
     "RunReport",
     "auto_jobs",
-    "load_manifest",
     "canonical_config_dict",
     "dedupe_specs",
     "get_options",

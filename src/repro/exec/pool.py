@@ -3,8 +3,8 @@
 :class:`WorkerPool` decides:
 
 * **creation** — a fork-context :class:`ProcessPoolExecutor` opened by the
-  first submit (fork carries the active trace context into the workers);
-  :class:`PoolUnavailable` reports a platform that refuses one;
+  first submit; :class:`PoolUnavailable` reports a platform that refuses
+  one;
 * **kill** — a job past its timeout may have wedged its worker, so its
   pool is killed.  The pool remembers the kill, so the jobs that were
   running beside the wedged one re-run without losing an attempt;

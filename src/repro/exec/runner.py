@@ -132,15 +132,8 @@ class ParallelRunner:
         results: Dict[str, SimulationResult] = {}
         ticker = ProgressTicker(len(ordered), enabled=self.ticker_enabled)
         recorder = obs.SpanRecorder("exec.run") if obs.enabled() else None
-        # Trace context: one run_id for the whole sweep, inherited by the
-        # forked workers so per-job artifacts can be merged back into one
-        # run-level Chrome trace.  Obs off → no context, no artifacts.
-        context = None
-        if recorder is not None:
-            context = obs.TraceContext(run_id=obs.new_run_id(), origin="exec.run")
-            report.run_id = context.run_id
 
-        with obs.propagated(context), obs.recording(recorder):
+        with obs.recording(recorder):
             # Phase 1: answer what the cache already knows.
             misses: List[Tuple[str, JobSpec]] = []
             with obs.span("cache_probe", jobs=len(ordered)):
@@ -177,49 +170,16 @@ class ParallelRunner:
                         workers, "serial" if workers == 1 else "pool")
 
         report.wall_time = time.monotonic() - started
-        self._finalize_obs(report, recorder)
+        if recorder is not None:
+            report.spans = recorder.to_dict()
         if self.manifest_dir is not None:
             report.write_manifest(self.manifest_dir)
-            if recorder is not None and report.manifest_path is not None:
-                self._merge_trace(report)
         ticker.close(summary=report.summary_line())
         failures = [record for record in report.records
                     if record.status not in ("ok", "cached")]
         if failures and self.strict:
             raise ExecutionError(failures)
         return results
-
-    def _merge_trace(self, report: RunReport) -> None:
-        """Stitch orchestrator and worker spans into the manifest's merged
-        Chrome trace (the ``.trace.json`` sibling); best-effort."""
-        from ..bench.runner import cache_dir
-        from ..obs.merge import merge_manifest
-
-        try:
-            trace_path, _ = merge_manifest(report.manifest_path,
-                                           cache_root=cache_dir())
-        except (OSError, ValueError):
-            return
-        report.trace = trace_path.name
-
-    def _finalize_obs(self, report: RunReport, recorder) -> None:
-        """Fold the span tree and registry snapshot into the report."""
-        if recorder is None:
-            return
-        report.spans = recorder.to_dict()
-        registry = obs.registry()
-        histogram = registry.histogram(
-            "exec.job_wall_time_s", bounds=obs.WALL_TIME_BUCKETS_S)
-        for record in report.records:
-            if record.status != "cached":
-                histogram.observe(record.wall_time)
-        registry.counter("exec.jobs_total").inc(report.total)
-        registry.counter("exec.jobs_cached").inc(report.cache_hits)
-        registry.counter("exec.jobs_failed").inc(report.failed)
-        report.metrics = registry.snapshot()
-        report.metrics["exec.wall_time_s"] = round(report.wall_time, 4)
-        report.metrics["exec.worker_utilisation"] = round(
-            report.worker_utilisation, 4)
 
     # ------------------------------------------------------------------
     # Serial fallback

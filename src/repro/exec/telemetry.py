@@ -7,12 +7,11 @@ Two consumers, two shapes:
   stays silent when stderr is not a terminal (or ``REPRO_NO_TICKER`` is
   set); the closing summary line is emitted through the ``repro.exec``
   logger, so even fully silent runs end with their totals;
-* a **machine-readable run manifest** (JSON, version 2) recording per-job
+* a **machine-readable run manifest** (JSON, version 3) recording per-job
   status, attempts, wall time and cache provenance, run-level aggregates,
-  and — when observability is on — the run's phase-span tree and top-level
-  metrics.  Written atomically next to the result cache so later tooling
-  can mine sweep history; :func:`RunReport.from_dict` still reads
-  version-1 manifests.
+  and — when observability is on — the orchestrator's phase-span tree.
+  Written atomically next to the result cache; ``repro obs summarize``
+  reads it.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from typing import Dict, List, Optional
 from ..obs import log as obs_log
 
 #: Manifest layout version.  v2 added the ``spans`` and ``metrics`` keys;
-#: v1 manifests (no such keys) are still accepted by :func:`RunReport.from_dict`.
-#: The ``run_id``/``pid``/``trace`` keys are additive within v2: readers
-#: treat their absence as ``None``, so no version bump was needed.
-MANIFEST_VERSION = 2
+#: v3 removed ``metrics``, ``run_id``, ``pid`` and ``trace``.
+MANIFEST_VERSION = 3
 
 #: Fallback ticker width when the terminal size cannot be determined.
 _FALLBACK_COLUMNS = 80
@@ -62,19 +59,6 @@ class JobRecord:
             data["error"] = self.error
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobRecord":
-        """Inverse of :meth:`to_dict` (both manifest versions)."""
-        return cls(
-            job_hash=str(data["job_hash"]),
-            design=str(data["design"]),
-            workload=str(data["workload"]),
-            status=str(data["status"]),
-            attempts=int(data.get("attempts", 0)),
-            wall_time=float(data.get("wall_time_s", 0.0)),
-            error=data.get("error"),  # type: ignore[arg-type]
-        )
-
 
 @dataclass
 class RunReport:
@@ -92,20 +76,9 @@ class RunReport:
     records: List[JobRecord] = field(default_factory=list)
     wall_time: float = 0.0
     manifest_path: Optional[Path] = None
-    #: Trace-context identity of the run — set by the orchestrator when
-    #: observability is on, carried into workers (see
-    #: :mod:`repro.obs.tracectx`) and used by ``repro obs merge`` to match
-    #: per-job artifacts to this manifest.
-    run_id: Optional[str] = None
-    #: File name of the merged run-level Chrome trace (a sibling of the
-    #: manifest), once :mod:`repro.obs.merge` has stitched it.
-    trace: Optional[str] = None
     #: Span tree of the run (``SpanRecorder.to_dict()``), when observability
     #: recorded one.
     spans: Optional[Dict[str, object]] = None
-    #: Flat top-level metrics embedded in the manifest (registry snapshot
-    #: plus run aggregates).
-    metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -148,9 +121,6 @@ class RunReport:
             "workers": self.workers,
             "mode": self.mode,
             "jobs_source": self.jobs_source,
-            "run_id": self.run_id,
-            "pid": os.getpid(),
-            "trace": self.trace,
             "totals": {
                 "jobs": self.total,
                 "duplicates": self.duplicates,
@@ -162,48 +132,23 @@ class RunReport:
                 "simulated_time_s": round(self.simulated_time, 4),
                 "worker_utilisation": round(self.worker_utilisation, 4),
             },
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
             "spans": self.spans,
             "jobs": [record.to_dict() for record in self.records],
         }
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunReport":
-        """Read a manifest payload — version 2 or the spans-less version 1.
-
-        Raises:
-            ValueError: For a manifest version newer than this reader.
-        """
-        version = int(data.get("manifest_version", 1))
-        if version > MANIFEST_VERSION:
-            raise ValueError(
-                f"manifest version {version} is newer than supported "
-                f"({MANIFEST_VERSION})"
-            )
-        totals = data.get("totals", {})
-        report = cls(
-            jobs_requested=int(data.get("jobs_requested", 1)),
-            workers=int(data.get("workers", 1)),
-            mode=str(data.get("mode", "serial")),
-            jobs_source=str(data.get("jobs_source", "explicit")),
-            duplicates=int(totals.get("duplicates", 0)),
-            records=[JobRecord.from_dict(j) for j in data.get("jobs", [])],
-            wall_time=float(totals.get("wall_time_s", 0.0)),
-            run_id=data.get("run_id"),  # type: ignore[arg-type]
-            trace=data.get("trace"),  # type: ignore[arg-type]
-            spans=data.get("spans"),  # absent (None) in v1 manifests
-            metrics={str(k): float(v)
-                     for k, v in data.get("metrics", {}).items()},
-        )
-        return report
-
     def write_manifest(self, directory: Path) -> Optional[Path]:
-        """Atomically write the manifest into ``directory``; best-effort."""
+        """Atomically write the manifest into ``directory``; best-effort.
+
+        The file is named ``run-<UTC second>.<nanoseconds>-<pid>.json``, so
+        name order is write order and the last name is the newest run.
+        """
         from .cache import write_json_atomic
 
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        path = Path(directory) / f"run-{stamp}-{os.getpid()}-{id(self) & 0xFFFF:04x}.json"
+        now_ns = time.time_ns()
+        stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime(now_ns // 10**9))
+        path = Path(directory) / (
+            f"run-{stamp}.{now_ns % 10**9:09d}-{os.getpid()}.json")
         try:
             write_json_atomic(path, self.to_dict())
         except OSError:
@@ -226,15 +171,6 @@ class RunReport:
         if self.manifest_path is not None:
             parts.append(f"manifest {self.manifest_path}")
         return " · ".join(parts)
-
-
-def load_manifest(path: Path) -> RunReport:
-    """Read a run manifest (version 1 or 2) back into a :class:`RunReport`."""
-    import json
-
-    report = RunReport.from_dict(json.loads(Path(path).read_text()))
-    report.manifest_path = Path(path)
-    return report
 
 
 class ProgressTicker:

@@ -13,7 +13,6 @@ job, written under ``<cache_dir>/obs/<hash16>/``.
 from __future__ import annotations
 
 from .. import obs
-from ..obs import tracectx
 from ..obs.artifacts import obs_root, write_job_artifacts
 from ..sim.results import SimulationResult
 from ..sim.simulator import Simulator, build_design
@@ -27,24 +26,17 @@ def run_job(spec: JobSpec) -> SimulationResult:
     (``bench.runner.get_trace``), so concurrent workers converging on one
     workload pay the generation cost at most once per process and reuse
     the on-disk ``.npz`` across processes.
+
+    With observability on, the job records its phases on its own
+    :class:`~repro.obs.SpanRecorder` and writes them, with the sampler's
+    series and events, as the job's artifacts; run inline, the runner's
+    ``job`` span times the whole job.  With it off, ``obs.recording(None)``
+    and ``obs.span`` do nothing.
     """
     from ..bench.runner import cache_dir, get_trace
 
-    if not obs.enabled():
-        trace = get_trace(
-            spec.workload,
-            num_cores=spec.num_cores,
-            max_accesses=spec.trace_length,
-            seed=spec.seed,
-            scale=spec.graph_scale,
-        )
-        return simulate_spec(spec, trace)
-
-    # Observability path: a fresh recorder per job (a pool worker has no
-    # run-level recorder; inline the per-job tree nests under the runner's
-    # "job" span only in the manifest, while the artifact keeps its own).
-    job_hash = spec.content_hash()
-    recorder = obs.SpanRecorder(f"job {spec.design}/{spec.workload}")
+    recorder = (obs.SpanRecorder(f"job {spec.design}/{spec.workload}")
+                if obs.enabled() else None)
     with obs.recording(recorder):
         with obs.span("trace_gen", workload=spec.workload):
             trace = get_trace(
@@ -60,28 +52,17 @@ def run_job(spec: JobSpec) -> SimulationResult:
                 workload=spec.workload,
             )
             result = simulator.run(trace)
-    # Stamp the propagated trace context (run_id + this worker's pid) so
-    # ``repro obs merge`` can attribute this job's span tree to the right
-    # process under the orchestrator's run.
-    meta = {
-        "design": spec.design,
-        "workload": spec.workload,
-        "accesses": result.accesses,
-        "cycles": result.cycles,
-    }
-    meta.update(tracectx.job_annotations())
-    write_job_artifacts(
-        obs_root(cache_dir()),
-        job_hash,
-        recorder=recorder,
-        sampler=simulator.sampler,
-        meta=meta,
-    )
+    if recorder is not None:
+        write_job_artifacts(
+            obs_root(cache_dir()),
+            spec.content_hash(),
+            recorder=recorder,
+            sampler=simulator.sampler,
+            meta={
+                "design": spec.design,
+                "workload": spec.workload,
+                "accesses": result.accesses,
+                "cycles": result.cycles,
+            },
+        )
     return result
-
-
-def simulate_spec(spec: JobSpec, trace) -> SimulationResult:
-    """The bare simulation of a spec over an already-generated trace."""
-    from ..sim.simulator import simulate
-
-    return simulate(spec.design, trace, spec.config, workload=spec.workload)

@@ -31,7 +31,7 @@ from .replacement import (
     SHiPPolicy,
     make_policy,
 )
-from .stats import CacheStats, LatencyStats, TrafficStats
+from .stats import CacheStats, TrafficStats
 
 __all__ = [
     "AccessType",
@@ -49,7 +49,6 @@ __all__ = [
     "HierarchyResult",
     "IdentityPageMapper",
     "LRUPolicy",
-    "LatencyStats",
     "LevelConfig",
     "MemoryAccess",
     "MemoryHierarchy",

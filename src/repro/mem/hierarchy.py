@@ -321,19 +321,6 @@ class MemoryHierarchy:
         l1_set[block] = line
         return result
 
-    def probe_on_chip(self, block_address: int, core: int) -> bool:
-        """Non-destructive residency check across L1/L2/LLC for ``core``.
-
-        Changes no state.  The designs train the data-location predictor
-        on ``not result.needs_memory`` from :meth:`access_block`, not on
-        this probe; it is kept for inspecting a hierarchy's state.
-        """
-        return (
-            self.l1[core].lookup(block_address)
-            or self.l2[core].lookup(block_address)
-            or self.llc.lookup(block_address)
-        )
-
     def flush(self) -> None:
         """Flush every level (dirty LLC lines reach the writeback sink)."""
         for cache in self.l1:

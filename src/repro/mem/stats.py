@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -118,25 +118,3 @@ class TrafficStats:
         self.mt_reads = 0
         self.mac_accesses = 0
         self.reencryption_requests = 0
-
-
-@dataclass
-class LatencyStats:
-    """Accumulates per-access latency to expose averages."""
-
-    total_cycles: int = 0
-    count: int = 0
-    histogram: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, cycles: int, category: str = "demand") -> None:
-        """Add one completed access of ``cycles`` latency."""
-        self.total_cycles += cycles
-        self.count += 1
-        self.histogram[category] = self.histogram.get(category, 0) + 1
-
-    @property
-    def average(self) -> float:
-        """Mean latency per access; 0.0 when nothing was recorded."""
-        if self.count == 0:
-            return 0.0
-        return self.total_cycles / self.count

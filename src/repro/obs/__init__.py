@@ -1,11 +1,8 @@
 """``repro.obs`` — zero-overhead-when-off observability.
 
-One switch (``REPRO_OBS=1`` or :func:`set_enabled`) turns on four
+One switch (``REPRO_OBS=1`` or :func:`set_enabled`) turns on three
 cooperating facilities:
 
-* a **metrics registry** (:mod:`repro.obs.registry`) — counters, gauges
-  and fixed-bucket histograms registered by dotted name; disabled callers
-  get the :data:`NULL_SINK` no-op registry;
 * **phase spans** (:mod:`repro.obs.spans`) — ``with span("trace_gen"):``
   builds a hierarchical wall-time breakdown exportable as Chrome-trace
   JSON; with no recorder installed, ``span()`` is a shared no-op;
@@ -16,6 +13,10 @@ cooperating facilities:
 * an **event ring** (:mod:`repro.obs.events`) — a bounded buffer of rare,
   high-value events (counter-overflow re-encryption, storms, predictor
   mode flips).
+
+An observed run leaves one artifact directory per job
+(:mod:`repro.obs.artifacts`) and a run manifest carrying the
+orchestrator's span tree (:class:`~repro.exec.telemetry.RunReport`).
 
 The cardinal rule: with observability off, the simulator's hot loops are
 *byte-for-byte the same code path as before* — the only cost is one
@@ -30,15 +31,6 @@ from typing import Optional
 
 from .events import EventRing, load_jsonl
 from .log import get_logger, setup_logging
-from .registry import (
-    LATENCY_BUCKETS_CYCLES,
-    NULL_SINK,
-    WALL_TIME_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .spans import (
     Span,
     SpanRecorder,
@@ -48,8 +40,6 @@ from .spans import (
     span,
 )
 from .timeseries import SimSampler, TimeSeries, sample_interval
-from .tracectx import TraceContext, new_run_id, propagated
-from .tracectx import current as current_context
 
 #: Environment switch; "0"/"false"/"no"/"" count as off.
 OBS_ENV = "REPRO_OBS"
@@ -58,9 +48,6 @@ _FALSY = ("", "0", "false", "no", "off")
 
 #: Explicit override; ``None`` defers to the environment.
 _ENABLED: Optional[bool] = None
-
-#: The process-wide live registry (handed out only while enabled).
-_REGISTRY = MetricsRegistry()
 
 
 def enabled() -> bool:
@@ -99,50 +86,27 @@ class overridden:
         _ENABLED = self._previous
 
 
-def registry():
-    """The live :class:`MetricsRegistry`, or :data:`NULL_SINK` when off."""
-    if enabled():
-        return _REGISTRY
-    return NULL_SINK
-
-
 def reset() -> None:
-    """Return to a pristine state (tests): env-controlled, empty registry,
-    no installed span recorder, no trace context."""
-    from . import tracectx
-
+    """Return to a pristine state (tests): env-controlled, no installed
+    span recorder."""
     set_enabled(None)
-    _REGISTRY.clear()
     install_recorder(None)
-    tracectx.reset()
 
 
 __all__ = [
-    "Counter",
     "EventRing",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS_CYCLES",
-    "MetricsRegistry",
-    "NULL_SINK",
     "OBS_ENV",
     "SimSampler",
     "Span",
     "SpanRecorder",
     "TimeSeries",
-    "TraceContext",
-    "WALL_TIME_BUCKETS_S",
     "active_recorder",
-    "current_context",
     "enabled",
     "get_logger",
     "install_recorder",
     "load_jsonl",
-    "new_run_id",
     "overridden",
-    "propagated",
     "recording",
-    "registry",
     "reset",
     "sample_interval",
     "set_enabled",

@@ -9,10 +9,8 @@ Artifacts live next to the result cache, under ``<cache_dir>/obs/``::
         spans.trace.json   # Chrome-trace JSON of the job's phase spans
         events.jsonl       # retained ring events, one JSON object per line
 
-Run-level artifacts (the span tree and metrics of a whole sweep) are
-embedded in the version-2 run manifest written by
-:class:`~repro.exec.telemetry.RunReport`, with a sibling
-``<manifest>.trace.json`` Chrome trace.
+The span tree of a whole sweep is embedded in the run manifest written by
+:class:`~repro.exec.telemetry.RunReport` under ``<cache_dir>/manifests/``.
 """
 
 from __future__ import annotations
@@ -104,10 +102,17 @@ def load_job_meta(directory: Path) -> Dict[str, object]:
 
 
 def latest_manifest(manifest_dir: Path) -> Optional[Path]:
-    """Most recent ``run-*.json`` manifest, or ``None``."""
+    """Most recent ``run-*.json`` manifest, or ``None``.
+
+    Manifest names sort in write order
+    (:meth:`~repro.exec.telemetry.RunReport.write_manifest`), so the last
+    name is the newest run.
+    """
     directory = Path(manifest_dir)
     if not directory.is_dir():
         return None
+    # Skip the merged-trace siblings that older versions wrote beside
+    # their manifests.
     candidates = sorted(p for p in directory.glob("run-*.json")
                         if not p.name.endswith(".trace.json"))
     return candidates[-1] if candidates else None

@@ -3,16 +3,13 @@
 Subcommands:
 
 * ``summarize [MANIFEST]`` — one line per job artifact (design, workload,
-  samples, events, ring drops), plus a run manifest's totals, top-level
-  metrics and phase-span tree (the latest one by default, or an explicit
-  manifest path);
+  samples, events, ring drops), plus a run manifest's totals and
+  phase-span tree (the latest one by default, or an explicit manifest
+  path);
 * ``dump JOB`` — full ``job.json`` payload and per-signal statistics of
   one job (``JOB`` is a hash prefix, an index from ``summarize``, or a
   job artifact directory path);
-* ``plot JOB`` — unicode sparklines of the job's windowed signals;
-* ``merge MANIFEST`` — stitch a run manifest's orchestrator spans and its
-  jobs' per-process span trees into one run-level Chrome trace
-  (``MANIFEST`` may be ``latest``).
+* ``plot JOB`` — unicode sparklines of the job's windowed signals.
 
 Artifacts are looked up under the cache root (``REPRO_CACHE_DIR`` /
 ``.trace_cache``), where workers write them; ``--cache-dir`` overrides.
@@ -66,11 +63,8 @@ def _format_span_tree(spans: Iterable[dict], depth: int = 1) -> List[str]:
 
 
 def _load_series(directory: Path) -> Optional[TimeSeries]:
-    for name in ("timeseries.npz", "timeseries.jsonl"):
-        path = directory / name
-        if path.is_file():
-            return TimeSeries.load(path)
-    return None
+    path = directory / "timeseries.npz"
+    return TimeSeries.load(path) if path.is_file() else None
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -92,8 +86,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         # Ring overflow is silent data loss; make it visible here.
         if events.get("dropped"):
             line += f"  dropped={events['dropped']}"
-        if meta.get("run_id"):
-            line += f"  run={meta['run_id']}"
         print(line)
     label = "latest manifest"
     if getattr(args, "manifest", None):
@@ -109,18 +101,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     payload = json.loads(manifest.read_text())
     totals = payload.get("totals", {})
     print(f"\n{label}: {manifest.name} (v{payload.get('manifest_version', 1)})")
-    if payload.get("run_id"):
-        trace = f" · trace {payload['trace']}" if payload.get("trace") else ""
-        print(f"  run {payload['run_id']} (pid {payload.get('pid', '?')}){trace}")
     print(
         f"  {totals.get('jobs', 0)} jobs"
         f" · {totals.get('cache_hits', 0)} cached"
         f" · {totals.get('failed', 0)} failed"
         f" · {totals.get('wall_time_s', 0.0):.1f}s wall"
     )
-    metrics = payload.get("metrics") or {}
-    for name in sorted(metrics):
-        print(f"  {name} = {metrics[name]:.4g}")
     spans = payload.get("spans") or {}
     if spans.get("spans"):
         print(f"  span tree ({spans.get('total_s', 0.0):.3f}s):")
@@ -173,32 +159,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from .merge import merge_manifest
-
-    root = _cache_root(args)
-    if args.manifest == "latest":
-        manifest = latest_manifest(Path(root) / "manifests")
-        if manifest is None:
-            print(f"no run manifests under {Path(root) / 'manifests'}",
-                  file=sys.stderr)
-            return 2
-    else:
-        manifest = Path(args.manifest)
-        if not manifest.is_file():
-            print(f"no manifest at {manifest}", file=sys.stderr)
-            return 2
-    try:
-        trace_path, count = merge_manifest(
-            manifest, cache_root=root,
-            output=Path(args.output) if args.output else None)
-    except (OSError, ValueError) as exc:
-        print(f"merge failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"{trace_path}: {count} trace events")
-    return 0
-
-
 def add_obs_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``obs`` subcommand to the top-level CLI parser."""
     obs_parser = sub.add_parser("obs", help="inspect observability artifacts")
@@ -223,12 +183,3 @@ def add_obs_parser(sub: argparse._SubParsersAction) -> None:
     plot.add_argument("job", help="job hash prefix or summarize index")
     plot.add_argument("signals", nargs="*", help="signal names (default: all)")
     plot.set_defaults(func=_cmd_plot)
-
-    merge = obs_sub.add_parser(
-        "merge", help="stitch a run's span trees into one Chrome trace")
-    merge.add_argument(
-        "manifest", help="run-manifest path, or 'latest'")
-    merge.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="trace output path (default: next to the manifest)")
-    merge.set_defaults(func=_cmd_merge)

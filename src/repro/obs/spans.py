@@ -132,11 +132,6 @@ class SpanRecorder:
             "spans": [span.to_dict() for span in self.roots],
         }
 
-    @classmethod
-    def tree_from_dict(cls, data: Dict[str, object]) -> List[Span]:
-        """Rebuild the span tree of a :meth:`to_dict` payload."""
-        return [Span.from_dict(entry) for entry in data.get("spans", [])]
-
     def to_chrome_trace(self, pid: Optional[int] = None, tid: Optional[int] = None) -> List[Dict[str, object]]:
         """Flatten into Chrome-trace complete events (``ph: "X"``)."""
         pid = pid if pid is not None else os.getpid()
@@ -161,22 +156,6 @@ class SpanRecorder:
         for root in self.roots:
             emit(root)
         return events
-
-    def format_tree(self, indent: int = 0) -> str:
-        """Human-readable tree with per-phase durations."""
-        lines: List[str] = []
-
-        def walk(span_obj: Span, depth: int) -> None:
-            meta = ""
-            if span_obj.meta:
-                meta = " (" + ", ".join(f"{k}={v}" for k, v in span_obj.meta.items()) + ")"
-            lines.append(f"{'  ' * depth}{span_obj.name}{meta}  {span_obj.duration_s:.3f}s")
-            for child in span_obj.children:
-                walk(child, depth + 1)
-
-        for root in self.roots:
-            walk(root, indent)
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,10 @@ just in the end-of-run averages.  Designs can contribute custom probes via
 once per window.
 
 The collected series is a columnar :class:`TimeSeries` saved as a compact
-``.npz`` (or JSONL when numpy is unavailable) next to the run's results.
-Nothing here runs on the simulator's hot path: the sampler is invoked from
-the existing progress-hook slot of ``Simulator.run``, which the hookless
-fast loops never touch when observability is off.
+``.npz`` next to the run's results.  Nothing here runs on the simulator's
+hot path: the sampler is invoked from the existing progress-hook slot of
+``Simulator.run``, which the hookless fast loops never touch when
+observability is off.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import math
 import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .events import EventRing
 
@@ -94,19 +96,11 @@ class TimeSeries:
 
     # -- persistence ---------------------------------------------------
     def save(self, path: Path) -> Path:
-        """Write the series to ``path`` (``.npz`` preferred, JSONL fallback).
-
-        Returns the path actually written, which may swap the suffix when
-        numpy is unavailable.
-        """
+        """Write the series to ``path`` as a compressed ``.npz``; returns it."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         meta = dict(self.meta)
         meta["interval"] = self.interval
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a core dep here
-            return self._save_jsonl(path.with_suffix(".jsonl"), meta)
         arrays = {"accesses": np.asarray(self.axis, dtype=np.int64)}
         for name, column in self.columns.items():
             arrays[name] = np.asarray(column, dtype=np.float64)
@@ -117,26 +111,10 @@ class TimeSeries:
             np.savez_compressed(handle, **arrays)
         return path
 
-    def _save_jsonl(self, path: Path, meta: Dict[str, object]) -> Path:
-        lines = [json.dumps({"_meta": meta}, sort_keys=True)]
-        for i, at in enumerate(self.axis):
-            row: Dict[str, object] = {"accesses": at}
-            for name, column in self.columns.items():
-                value = column[i]
-                row[name] = None if math.isnan(value) else value
-            lines.append(json.dumps(row, sort_keys=True))
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
     @classmethod
     def load(cls, path: Path) -> "TimeSeries":
         """Read a series previously written by :meth:`save`."""
-        path = Path(path)
-        if path.suffix == ".jsonl":
-            return cls._load_jsonl(path)
-        import numpy as np
-
-        with np.load(path) as data:
+        with np.load(Path(path)) as data:
             meta: Dict[str, object] = {}
             if "_meta" in data.files:
                 meta = json.loads(bytes(data["_meta"].tobytes()).decode())
@@ -146,17 +124,6 @@ class TimeSeries:
                 if name in ("accesses", "_meta"):
                     continue
                 series.columns[name] = [float(v) for v in data[name]]
-        return series
-
-    @classmethod
-    def _load_jsonl(cls, path: Path) -> "TimeSeries":
-        rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-        meta = rows[0].get("_meta", {}) if rows else {}
-        series = cls(int(meta.pop("interval", DEFAULT_INTERVAL)), meta)
-        for row in rows[1:]:
-            at = int(row.pop("accesses"))
-            series.append(at, {k: (math.nan if v is None else float(v))
-                               for k, v in row.items()})
         return series
 
     # -- analysis ------------------------------------------------------

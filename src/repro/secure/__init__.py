@@ -26,7 +26,7 @@ from .designs import (
 from .engine import EngineConfig, SecureMemoryEngine
 from .functional import FunctionalSecureMemory, IntegrityViolation, SecureMemoryStats
 from .layout import DEFAULT_MT_ARITY, SecureLayout
-from .mac import MacStore, MacTrafficModel, compute_mac
+from .mac import MacStore, compute_mac
 from .merkle import IntegrityTreeModel, IntegrityTreeStats, MerkleTree
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "IntegrityViolation",
     "IntegrityTreeStats",
     "MacStore",
-    "MacTrafficModel",
     "MerkleTree",
     "MonolithicCounters",
     "MorphCtrCounters",

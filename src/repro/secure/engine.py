@@ -24,6 +24,7 @@ from .aes import AES_LATENCY_CYCLES, AUTH_LATENCY_CYCLES
 from .counters import CounterScheme, MorphCtrCounters
 from .ctr_cache import CtrCache
 from .layout import SecureLayout
+from .mac import MACS_PER_LINE
 from .merkle import IntegrityTreeModel
 
 
@@ -140,7 +141,7 @@ class SecureMemoryEngine:
         if self.config.mac_in_ecc:
             return
         self._mac_pending += 1
-        if self._mac_pending >= 8:
+        if self._mac_pending >= MACS_PER_LINE:
             self._mac_pending = 0
             self.traffic.mac_accesses += 1
             self.dram.request(self.layout.mac_block_address(data_block), now=self._now)
@@ -262,36 +263,6 @@ class SecureMemoryEngine:
     def ctr_miss_rate(self) -> float:
         """CTR-cache miss rate observed so far."""
         return self.ctr_cache.miss_rate
-
-    def register_obs_metrics(self, registry, prefix: str) -> None:
-        """Register live callback gauges under dotted ``prefix``.
-
-        Callback gauges read the stats the engine maintains anyway, so the
-        registration is the entire cost — nothing runs per access.
-        """
-        registry.gauge(f"{prefix}.ctr_hit_rate",
-                       fn=lambda: self.ctr_cache.stats.hit_rate)
-        registry.gauge(f"{prefix}.mt_avg_fetches",
-                       fn=lambda: self.integrity.stats.average_fetches)
-        registry.gauge(f"{prefix}.dram_row_hit_rate",
-                       fn=lambda: self.dram.stats.row_hit_rate)
-        registry.gauge(f"{prefix}.dram_avg_read_latency",
-                       fn=lambda: self.dram.average_read_latency())
-        registry.gauge(f"{prefix}.dram_avg_write_latency",
-                       fn=lambda: self.dram.average_write_latency())
-        registry.gauge(f"{prefix}.dram_activations",
-                       fn=lambda: self.dram.stats.activations)
-        registry.gauge(f"{prefix}.dram_max_row_activations",
-                       fn=lambda: self.dram.stats.max_row_activations)
-        registry.gauge(f"{prefix}.dram_act_window_resets",
-                       fn=lambda: self.dram.stats.act_window_resets)
-        registry.gauge(f"{prefix}.dram_queue_share",
-                       fn=lambda: (
-                           self.dram.stats.queue_cycles / self.dram.stats.busy_cycles
-                           if self.dram.stats.busy_cycles else 0.0
-                       ))
-        registry.gauge(f"{prefix}.reencryption_rate",
-                       fn=lambda: self.events.reencryption_rate)
 
     def decrypt_ready_latency(self, ctr_latency: int) -> int:
         """Cycles until the OTP is ready, given when the CTR arrived."""

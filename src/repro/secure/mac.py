@@ -92,24 +92,3 @@ class MacStore:
         for block in (block_a, block_b):
             if self._macs[block] is None:
                 del self._macs[block]
-
-
-class MacTrafficModel:
-    """Charges one MAC DRAM access per :data:`MACS_PER_LINE` data accesses.
-
-    The paper models authentication cost statistically ("one MAC access per
-    eight data accesses"); this class reproduces exactly that accounting.
-    """
-
-    def __init__(self) -> None:
-        self._pending = 0
-        self.accesses_charged = 0
-
-    def on_data_access(self) -> bool:
-        """Record a protected data DRAM access; True when a MAC line is fetched."""
-        self._pending += 1
-        if self._pending >= MACS_PER_LINE:
-            self._pending = 0
-            self.accesses_charged += 1
-            return True
-        return False

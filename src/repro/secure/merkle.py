@@ -183,16 +183,6 @@ class MerkleTree:
         """Overwrite an internal node (attack simulation for tests)."""
         self._nodes[level][index] = digest
 
-    def path_nodes(self, leaf_index: int) -> List[Tuple[int, int]]:
-        """The ``(level, index)`` internal nodes on a leaf's path to the root."""
-        self._check_leaf(leaf_index)
-        nodes: List[Tuple[int, int]] = []
-        index = leaf_index
-        for level in range(self.levels):
-            index //= self.arity
-            nodes.append((level, index))
-        return nodes
-
     def subtree_leaves(self, level: int, index: int) -> Tuple[int, int]:
         """Half-open leaf range ``[first, last)`` covered by node (level, index)."""
         span = self.arity ** (level + 1)

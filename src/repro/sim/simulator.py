@@ -145,9 +145,6 @@ class Simulator:
             engine = getattr(self.design, "engine", None)
             if engine is not None:
                 engine.obs_events = sampler.events
-                engine.register_obs_metrics(
-                    obs.registry(), f"sim.{self.design.name}"
-                )
             progress_hook, progress_interval = _merge_hooks(
                 progress_hook, progress_interval, sampler
             )

@@ -323,17 +323,6 @@ def interleave(streams: Sequence[Sequence[MemoryAccess]]) -> List[MemoryAccess]:
     return merged
 
 
-def reads_and_writes(
-    addresses: Iterable[tuple],
-    core: int = 0,
-) -> List[MemoryAccess]:
-    """Build accesses from ``(address, is_write)`` tuples for one core."""
-    return [
-        MemoryAccess(address, AccessType.WRITE if is_write else AccessType.READ, core)
-        for address, is_write in addresses
-    ]
-
-
 def multiprogram(traces: Sequence[Trace], address_stride: int = 1 << 30) -> Trace:
     """Build a multi-programmed mix: one workload per core.
 

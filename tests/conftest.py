@@ -19,8 +19,8 @@ def _hermetic_exec_env(monkeypatch):
     The suite's fixtures assert exact trace lengths and serial behaviour,
     so an outer ``REPRO_QUICK=1`` (e.g. the CI workflow) or ``REPRO_JOBS``
     must not leak in.  Explicit exec-option overrides and observability
-    state (registry, span recorder, enabled override) are also dropped
-    between tests.
+    state (span recorder, enabled override) are also dropped between
+    tests.
     """
     from repro import obs
     from repro.exec import reset_options

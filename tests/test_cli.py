@@ -80,7 +80,7 @@ def test_simulate_with_obs_writes_artifacts(tmp_path, monkeypatch, capsys):
     assert "ctr_hit_rate" in capsys.readouterr().out
 
 
-def test_obs_merge_and_manifest_summarize(tmp_path, monkeypatch, capsys):
+def test_obs_summarize_explicit_manifest(tmp_path, monkeypatch, capsys):
     from repro.obs.artifacts import latest_manifest
 
     monkeypatch.setenv("REPRO_OBS_INTERVAL", "500")
@@ -88,31 +88,12 @@ def test_obs_merge_and_manifest_summarize(tmp_path, monkeypatch, capsys):
                  "--obs"]) == 0
     capsys.readouterr()
 
-    assert main(["obs", "merge", "latest"]) == 0
-    out = capsys.readouterr().out
-    assert "trace events" in out
-
     manifest = latest_manifest(runner.cache_dir() / "manifests")
     assert manifest is not None
-    trace = manifest.with_suffix(".trace.json")
-    assert trace.is_file()
-
-    # summarize accepts an explicit manifest path and reports the trace.
     assert main(["obs", "summarize", str(manifest)]) == 0
     out = capsys.readouterr().out
-    assert f"manifest: {manifest.name}" in out
-    assert f"trace {trace.name}" in out
-
-    # An explicit manifest path works for merge too.
-    assert main(["obs", "merge", str(manifest)]) == 0
-    assert "trace events" in capsys.readouterr().out
-
-
-def test_obs_merge_missing_manifest(tmp_path, capsys):
-    assert main(["obs", "--cache-dir", str(tmp_path), "merge", "latest"]) == 2
-    assert "no run manifests" in capsys.readouterr().err
-    assert main(["obs", "merge", str(tmp_path / "nope.json")]) == 2
-    assert "no manifest at" in capsys.readouterr().err
+    assert f"manifest: {manifest.name} (v3)" in out
+    assert "span tree" in out
 
 
 def test_obs_summarize_missing_manifest_path(tmp_path, capsys):

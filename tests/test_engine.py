@@ -3,6 +3,7 @@
 from repro.secure.counters import SplitCounters
 from repro.secure.engine import EngineConfig, SecureMemoryEngine
 from repro.secure.layout import SecureLayout
+from repro.secure.mac import MACS_PER_LINE
 
 
 def make_engine(**config_kwargs):
@@ -43,6 +44,18 @@ def test_read_data_counts_traffic_and_macs():
         engine.read_data(block)
     assert engine.traffic.data_reads == 16
     assert engine.traffic.mac_accesses == 2  # one per 8 accesses
+
+
+def test_engine_charges_one_mac_per_eight_reads():
+    engine = make_engine()
+    charged = []
+    for block in range(MACS_PER_LINE * 3):
+        engine.read_data(block)
+        charged.append(engine.traffic.mac_accesses)
+    assert charged[-1] == 3
+    # The first MAC line access comes with exactly the 8th data read.
+    assert charged[: MACS_PER_LINE - 1] == [0] * (MACS_PER_LINE - 1)
+    assert charged[MACS_PER_LINE - 1] == 1
 
 
 def test_secure_write_increments_counter():

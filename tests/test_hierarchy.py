@@ -73,13 +73,6 @@ def test_core_out_of_range_rejected():
         hierarchy.access_block(0, False, -1)
 
 
-def test_probe_on_chip_matches_state():
-    hierarchy = small_hierarchy()
-    assert not hierarchy.probe_on_chip(0, core=0)
-    hierarchy.access(MemoryAccess(0))
-    assert hierarchy.probe_on_chip(0, core=0)
-
-
 def test_dirty_llc_eviction_reaches_sink():
     written = []
     hierarchy = small_hierarchy(sink=written.append)

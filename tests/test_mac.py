@@ -1,6 +1,6 @@
 """Unit tests for the MAC model."""
 
-from repro.secure.mac import MACS_PER_LINE, MacStore, MacTrafficModel, compute_mac
+from repro.secure.mac import MacStore, compute_mac
 
 
 def test_mac_is_64_bits():
@@ -47,13 +47,3 @@ def test_known_blocks_count():
     store.update(2, b"b", 0)
     store.update(1, b"c", 1)
     assert store.known_blocks() == 2
-
-
-def test_traffic_model_one_in_eight():
-    model = MacTrafficModel()
-    charged = [model.on_data_access() for _ in range(MACS_PER_LINE * 3)]
-    assert sum(charged) == 3
-    # Exactly every 8th access is charged.
-    assert charged[MACS_PER_LINE - 1] is True
-    assert all(not c for c in charged[: MACS_PER_LINE - 1])
-    assert model.accesses_charged == 3

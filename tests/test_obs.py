@@ -1,6 +1,6 @@
 """Unit tests for the ``repro.obs`` observability layer.
 
-Covers the four facilities in isolation — registry, spans, event ring,
+Covers the three facilities in isolation — spans, event ring,
 time-series — plus the enable/disable switch semantics that make the
 whole layer free when off.
 """
@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro import obs
-from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 
 
 # ----------------------------------------------------------------------
@@ -23,7 +22,6 @@ from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 def test_disabled_by_default(monkeypatch):
     monkeypatch.delenv(obs.OBS_ENV, raising=False)
     assert not obs.enabled()
-    assert obs.registry() is obs.NULL_SINK
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -39,72 +37,7 @@ def test_override_beats_env(monkeypatch):
     monkeypatch.setenv(obs.OBS_ENV, "1")
     with obs.overridden(False):
         assert not obs.enabled()
-        assert obs.registry() is obs.NULL_SINK
     assert obs.enabled()
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-def test_registry_idempotent_registration():
-    registry = obs.MetricsRegistry()
-    counter = registry.counter("exec.jobs")
-    counter.inc()
-    counter.inc(4)
-    assert registry.counter("exec.jobs") is counter
-    assert registry.counter("exec.jobs").value == 5
-
-
-def test_registry_kind_conflict():
-    registry = obs.MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(TypeError):
-        registry.gauge("x")
-
-
-def test_callback_gauge_reads_live_value():
-    registry = obs.MetricsRegistry()
-    state = {"v": 1.0}
-    gauge = registry.gauge("sim.hit_rate", fn=lambda: state["v"])
-    assert gauge.value == 1.0
-    state["v"] = 0.25
-    assert gauge.value == 0.25
-    assert registry.snapshot() == {"sim.hit_rate": 0.25}
-
-
-def test_histogram_buckets_and_mean():
-    registry = obs.MetricsRegistry()
-    hist = registry.histogram("wall", bounds=(1.0, 10.0))
-    for value in (0.5, 5.0, 50.0):
-        hist.observe(value)
-    assert hist.counts == [1, 1, 1]
-    assert hist.total == 3
-    assert hist.mean == pytest.approx(55.5 / 3)
-    with pytest.raises(ValueError):
-        obs.Histogram("bad", bounds=(2.0, 1.0))
-
-
-def test_names_prefix_filter():
-    registry = obs.MetricsRegistry()
-    registry.counter("exec.jobs")
-    registry.counter("exec.jobs_failed")
-    registry.counter("sim.accesses")
-    assert registry.names("exec") == ["exec.jobs", "exec.jobs_failed"]
-    assert len(registry) == 3
-    registry.clear()
-    assert len(registry) == 0
-
-
-def test_null_sink_is_inert():
-    assert obs.NULL_SINK.counter("a") is NULL_COUNTER
-    assert obs.NULL_SINK.gauge("b") is NULL_GAUGE
-    assert obs.NULL_SINK.histogram("c") is NULL_HISTOGRAM
-    NULL_COUNTER.inc(100)
-    NULL_GAUGE.set(9.0)
-    NULL_HISTOGRAM.observe(3.0)
-    assert NULL_COUNTER.value == 0
-    assert NULL_GAUGE.value == 0.0
-    assert obs.NULL_SINK.snapshot() == {}
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +60,7 @@ def test_span_tree_nesting_and_export():
     assert [s.name for s in recorder.roots] == ["outer"]
     assert [c.name for c in recorder.roots[0].children] == ["inner", "inner2"]
     payload = recorder.to_dict()
-    rebuilt = obs.SpanRecorder.tree_from_dict(payload)
+    rebuilt = [obs.Span.from_dict(entry) for entry in payload["spans"]]
     assert rebuilt[0].name == "outer"
     assert rebuilt[0].meta == {"workload": "dfs"}
     assert len(rebuilt[0].children) == 2
@@ -222,17 +155,6 @@ def test_timeseries_npz_roundtrip(tmp_path):
     assert loaded.meta["design"] == "cosmos"
     assert loaded.axis == [100, 200]
     assert loaded.columns["hit_rate"] == [0.5, 0.75]
-
-
-def test_timeseries_jsonl_roundtrip(tmp_path):
-    series = obs.TimeSeries(interval=5)
-    series.append(5, {"x": 1.0})
-    series.append(10, {"x": math.nan, "y": 2.0})
-    path = series._save_jsonl(tmp_path / "timeseries.jsonl", {"interval": 5})
-    loaded = obs.TimeSeries.load(path)
-    assert loaded.axis == [5, 10]
-    assert math.isnan(loaded.columns["x"][1])
-    assert loaded.columns["y"][1] == 2.0
 
 
 def test_sample_interval_env(monkeypatch):

@@ -3,7 +3,8 @@
 The two contracts the tentpole promises:
 
 * **on**: a run emits per-job span trees, a windowed time-series with at
-  least four signals, a valid Chrome-trace JSON and a v2 run manifest;
+  least four signals, a valid Chrome-trace JSON and a run manifest holding
+  the orchestrator's span tree;
 * **off**: simulation metrics are byte-identical to an instrumented run
   and nothing is written — the golden-metrics suite plus the perf budget
   keep the hot path honest.
@@ -12,7 +13,6 @@ The two contracts the tentpole promises:
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -24,9 +24,10 @@ from repro.exec import (
     ProgressTicker,
     ResultCache,
     RunReport,
-    load_manifest,
+    run_job,
 )
 from repro.obs.artifacts import (
+    latest_manifest,
     list_jobs,
     load_job_meta,
     obs_root,
@@ -113,64 +114,43 @@ def test_metrics_identical_with_and_without_obs(monkeypatch, design_name):
     assert a == b, f"observability perturbed {design_name} metrics"
 
 
-# ----------------------------------------------------------------------
-# Manifest v2
-# ----------------------------------------------------------------------
-def _stub_spec():
-    return JobSpec(design="morphctr", workload="mlp", num_cores=1,
+def _stub_spec(design: str = "morphctr"):
+    return JobSpec(design=design, workload="mlp", num_cores=1,
                    trace_length=64, config=small_test_config(num_cores=1))
 
 
-def test_manifest_v2_roundtrip(tmp_path):
-    report = RunReport(jobs_requested=2, workers=2, mode="pool")
-    report.wall_time = 1.5
-    report.metrics = {"exec.jobs_total": 3.0}
-    report.spans = {"name": "exec.run", "total_s": 1.4,
-                    "spans": [{"name": "execute", "start_s": 0.0,
-                               "duration_s": 1.4}]}
-    path = report.write_manifest(tmp_path)
-    assert path is not None
-    payload = json.loads(path.read_text())
-    assert payload["manifest_version"] == MANIFEST_VERSION == 2
-    loaded = load_manifest(path)
-    assert loaded.metrics == {"exec.jobs_total": 3.0}
-    assert loaded.spans["spans"][0]["name"] == "execute"
-    assert loaded.mode == "pool"
-    assert loaded.wall_time == 1.5
+@pytest.mark.parametrize("design_name", ["np", "morphctr", "cosmos"])
+def test_run_job_payload_identical_with_and_without_obs(
+        tmp_path, monkeypatch, design_name):
+    """The worker's one code path: observing a job changes no metric."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    spec = _stub_spec(design_name)
+    baseline = run_job(spec)
+    assert not obs_root(tmp_path).exists()
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_INTERVAL", "16")
+    observed = run_job(spec)
+    assert len(list_jobs(obs_root(tmp_path))) == 1
+    a = json.dumps(baseline.to_dict(), sort_keys=True)
+    b = json.dumps(observed.to_dict(), sort_keys=True)
+    assert a == b, f"observability perturbed {design_name} run_job payload"
 
 
-def test_manifest_v1_still_readable(tmp_path):
-    v1 = {
-        "manifest_version": 1,
-        "jobs_requested": 1,
-        "workers": 1,
-        "mode": "serial",
-        "totals": {"jobs": 1, "wall_time_s": 0.2},
-        "jobs": [{"job_hash": "abc", "design": "np", "workload": "mlp",
-                  "status": "ok", "attempts": 1, "wall_time_s": 0.2}],
-    }
-    path = tmp_path / "run-old.json"
-    path.write_text(json.dumps(v1))
-    report = load_manifest(path)
-    assert report.spans is None
-    assert report.metrics == {}
-    assert report.records[0].design == "np"
-    assert report.total == 1
-
-
-def test_manifest_unknown_keys_are_ignored():
-    """Manifests carrying keys of retired options still load."""
-    report = RunReport.from_dict({
-        "manifest_version": 2, "jobs_requested": 2, "retired_option": "x",
-        "totals": {"jobs": 0},
-    })
-    assert report.jobs_requested == 2
-    assert "retired_option" not in report.to_dict()
-
-
-def test_manifest_future_version_rejected():
-    with pytest.raises(ValueError):
-        RunReport.from_dict({"manifest_version": 99})
+# ----------------------------------------------------------------------
+# Manifest
+# ----------------------------------------------------------------------
+def test_latest_manifest_is_the_last_written(tmp_path):
+    spans = {"name": "exec.run", "total_s": 1.4,
+             "spans": [{"name": "execute", "start_s": 0.0, "duration_s": 1.4}]}
+    for count in range(1, 21):
+        report = RunReport(jobs_requested=count, spans=spans)
+        path = report.write_manifest(tmp_path)
+        assert latest_manifest(tmp_path) == path
+        payload = json.loads(path.read_text())
+        assert payload["manifest_version"] == MANIFEST_VERSION == 3
+        assert payload["jobs_requested"] == count
+        assert payload["spans"] == spans
+    assert len(list(tmp_path.glob("run-*.json"))) == 20
 
 
 # ----------------------------------------------------------------------
@@ -193,27 +173,17 @@ def test_runner_emits_spans_metrics_and_trace(tmp_path, monkeypatch):
     assert names == ["cache_probe", "execute"]
     job_spans = report.spans["spans"][1]["children"]
     assert job_spans and job_spans[0]["name"] == "job"
-    # Metrics snapshot rode into the manifest.
-    assert report.metrics["exec.jobs_total"] == 1.0
-    assert "exec.job_wall_time_s" in report.metrics
-    # The run got a trace-context identity, recorded in the manifest.
-    assert report.run_id and report.run_id.startswith("run-")
-    # Merged Chrome-trace sibling: complete events plus metadata events
-    # carrying the run_id and per-process names.
-    assert report.trace == report.manifest_path.with_suffix(".trace.json").name
-    trace_path = report.manifest_path.with_suffix(".trace.json")
-    events = json.loads(trace_path.read_text())
-    assert isinstance(events, list) and events
-    assert {e["ph"] for e in events} <= {"X", "M"}
-    assert any(e["ph"] == "X" for e in events)
-    run_meta = [e for e in events
-                if e["ph"] == "M" and e["name"] == "run_id"]
-    assert run_meta and run_meta[0]["args"]["run_id"] == report.run_id
+    # The manifest carries the span tree and no registry or merge keys.
+    manifest = json.loads(report.manifest_path.read_text())
+    assert manifest["spans"] == report.spans
+    assert not {"metrics", "run_id", "pid", "trace"} & set(manifest)
+    assert not report.manifest_path.with_suffix(".trace.json").exists()
     # Per-job artifacts landed under <cache>/obs/<hash16>/.
     jobs = list_jobs(obs_root(tmp_path))
     assert len(jobs) == 1
     meta = load_job_meta(jobs[0])
     assert meta["design"] == "morphctr"
+    assert not {"pid", "run_id", "origin"} & set(meta)
     assert meta["samples"] >= 1
     assert len(meta["signals"]) >= 4
     # The job's own span tree holds the fine-grained phases.
@@ -221,56 +191,6 @@ def test_runner_emits_spans_metrics_and_trace(tmp_path, monkeypatch):
     assert {"trace_gen", "simulate"} <= job_span_names
     job_trace = json.loads((jobs[0] / "spans.trace.json").read_text())
     assert any(e["name"] == "sim.run" for e in job_trace)
-
-
-def test_merged_trace_spans_worker_processes(tmp_path, monkeypatch):
-    """A --jobs 2 sweep merges into ONE trace holding every process's spans.
-
-    The orchestrator's spans carry its own pid; each job's spans carry the
-    pid of the pool worker that executed it; and a single run_id metadata
-    event ties them together — the cross-process propagation contract.
-    """
-    monkeypatch.setenv("REPRO_OBS", "1")
-    monkeypatch.setenv("REPRO_OBS_INTERVAL", "50")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    specs = [JobSpec(design=design, workload="mlp", num_cores=1,
-                     trace_length=64, config=small_test_config(num_cores=1))
-             for design in ("np", "morphctr", "cosmos")]
-    runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "results"),
-                            manifest_dir=tmp_path / "manifests", ticker=False)
-    results = runner.run(specs)
-    assert len(results) == 3
-    report = runner.report
-    if report.mode not in ("pool", "pool+serial"):
-        pytest.skip(f"no process pool in this environment ({report.mode})")
-
-    trace_path = report.manifest_path.with_suffix(".trace.json")
-    assert report.trace == trace_path.name
-    events = json.loads(trace_path.read_text())
-    complete = [e for e in events if e["ph"] == "X"]
-    orchestrator_pid = os.getpid()
-    worker_pids = {e["pid"] for e in complete} - {orchestrator_pid}
-    # Orchestrator spans plus at least one distinct worker process.
-    assert orchestrator_pid in {e["pid"] for e in complete}
-    assert worker_pids, "no spans attributed to worker processes"
-    # One run_id names the whole merged trace.
-    run_meta = [e for e in events if e["ph"] == "M" and e["name"] == "run_id"]
-    assert len(run_meta) == 1
-    assert run_meta[0]["args"]["run_id"] == report.run_id
-    # Every worker pid got a process_name metadata event.
-    named = {e["pid"] for e in events
-             if e["ph"] == "M" and e["name"] == "process_name"
-             and str(e["args"]["name"]).startswith("worker pid")}
-    assert named == worker_pids
-    # Job spans are labelled with the run for trace-viewer filtering.
-    worker_spans = [e for e in complete if e["pid"] in worker_pids]
-    assert all(e["args"]["run_id"] == report.run_id for e in worker_spans)
-    # And the job artifacts themselves recorded the propagated identity.
-    for job in list_jobs(obs_root(tmp_path)):
-        meta = load_job_meta(job)
-        assert meta["run_id"] == report.run_id
-        assert meta["origin"] == "exec.run"
-        assert meta["pid"] != orchestrator_pid
 
 
 def test_runner_writes_nothing_when_disabled(tmp_path, monkeypatch):
@@ -281,10 +201,9 @@ def test_runner_writes_nothing_when_disabled(tmp_path, monkeypatch):
                             ticker=False)
     runner.run([_stub_spec()])
     assert runner.report.spans is None
-    assert runner.report.metrics == {}
     assert not obs_root(tmp_path).exists()
     manifest = json.loads(runner.report.manifest_path.read_text())
-    assert manifest["manifest_version"] == 2
+    assert manifest["manifest_version"] == MANIFEST_VERSION
     assert manifest["spans"] is None
 
 

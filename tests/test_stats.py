@@ -1,6 +1,6 @@
 """Unit tests for the statistics containers."""
 
-from repro.mem.stats import CacheStats, LatencyStats, TrafficStats
+from repro.mem.stats import CacheStats, TrafficStats
 
 
 class TestCacheStats:
@@ -47,21 +47,3 @@ class TestTrafficStats:
         traffic = TrafficStats(data_reads=9)
         traffic.reset()
         assert traffic.total == 0
-
-
-class TestLatencyStats:
-    def test_average(self):
-        stats = LatencyStats()
-        stats.record(10)
-        stats.record(20)
-        assert stats.average == 15.0
-
-    def test_empty_average(self):
-        assert LatencyStats().average == 0.0
-
-    def test_histogram_categories(self):
-        stats = LatencyStats()
-        stats.record(5, category="demand")
-        stats.record(7, category="demand")
-        stats.record(9, category="writeback")
-        assert stats.histogram == {"demand": 2, "writeback": 1}

@@ -12,7 +12,6 @@ from repro.workloads.trace import (
     Trace,
     TraceArrays,
     interleave,
-    reads_and_writes,
 )
 
 
@@ -91,13 +90,6 @@ class TestInterleave:
     def test_empty_input(self):
         assert interleave([]) == []
         assert interleave([[], []]) == []
-
-
-def test_reads_and_writes_builder():
-    accesses = reads_and_writes([(0, False), (64, True)], core=2)
-    assert accesses[0].type == AccessType.READ
-    assert accesses[1].type == AccessType.WRITE
-    assert all(access.core == 2 for access in accesses)
 
 
 # ---------------------------------------------------------------------------
