@@ -10,14 +10,15 @@ model ports or MSHRs — consistent with the trace-driven methodology in
 DESIGN.md.
 
 :meth:`Cache.access` and :meth:`Cache.fill` are among the innermost frames
-of the simulator, and :meth:`Cache.access_and_fill` is the Merkle walk's one
-call per node.  Under the default :class:`LRUPolicy` they bypass the policy
-object, and this is the one definition of the LRU set layout: each set's
-dict is kept in recency order (a hit moves the line to the end, a fill
-appends), so the victim is the set's first key, and the evicted
+of the simulator, and :meth:`Cache.access_and_fill` is the CTR cache's one
+call per counter access.  Under the default :class:`LRUPolicy` they bypass
+the policy object, and this is the one definition of the LRU set layout:
+each set's dict is kept in recency order (a hit moves the line to the end,
+a fill appends), so the victim is the set's first key, and the evicted
 :class:`CacheLine` is recycled for the incoming block instead of allocating
-a new one.  :meth:`repro.mem.hierarchy.MemoryHierarchy.access_block` works
-on its levels' set dicts directly under this layout.  Other policies are
+a new one.  :meth:`repro.mem.hierarchy.MemoryHierarchy.access_block` and
+:meth:`repro.secure.merkle.IntegrityTreeModel.traverse` work on their
+caches' set dicts directly under this layout.  Other policies are
 dispatched through their callbacks and get a fresh line per fill.
 """
 

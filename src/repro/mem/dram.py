@@ -36,7 +36,7 @@ cycle accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .access import BLOCK_SHIFT
 
@@ -109,7 +109,7 @@ class DramStats:
     writes: int = 0
     row_hits: int = 0
     row_misses: int = 0
-    #: Latency sums split by request class so averages are honest per class.
+    #: Latency sums split by request class.
     read_cycles: int = 0
     write_cycles: int = 0
     #: Cycles requests spent waiting (bank busy, bus busy, turnaround,
@@ -124,12 +124,6 @@ class DramStats:
     #: Background 64B requests charged as bus occupancy only (page
     #: re-encryption): they never touch row buffers or latency sums.
     background_requests: int = 0
-    #: Activation-ledger resets: refresh windows that ended with at least
-    #: one recorded activation (tREFI-aligned; see ``activation_counts``).
-    act_window_resets: int = 0
-    #: Highest per-(channel, bank, row) activation count observed within
-    #: any single refresh window — the RowHammer pressure ceiling.
-    max_row_activations: int = 0
     #: Demand requests per channel.
     per_channel: Dict[int, int] = field(default_factory=dict)
     #: Data-bus occupancy cycles per channel (demand bursts + background).
@@ -180,8 +174,6 @@ class DramStats:
             "turnarounds": self.turnarounds,
             "background_requests": self.background_requests,
             "activations": self.activations,
-            "act_window_resets": self.act_window_resets,
-            "max_row_activations": self.max_row_activations,
             "per_channel": {str(k): v for k, v in sorted(self.per_channel.items())},
             "per_channel_busy": {
                 str(k): v for k, v in sorted(self.per_channel_busy.items())
@@ -200,9 +192,9 @@ class DramModel:
     the bit-field decode is a bijection (checked in ``__post_init__``;
     :meth:`decode`/:meth:`encode` round-trip exactly).
 
-    ``timings`` is fixed once the model is built: the refresh schedule,
-    the activation-ledger windows and the cached queue penalty derive from
-    it, so assigning a new one raises.  Build a new model for new timings.
+    ``timings`` is fixed once the model is built: the refresh schedule and
+    the cached queue penalty derive from it, so assigning a new one raises.
+    Build a new model for new timings.
     """
 
     timings: DramTimings = field(default_factory=DramTimings)
@@ -274,15 +266,6 @@ class DramModel:
         self._settled_at: List[Optional[int]] = [None] * self.num_channels
         #: Round-robin cursor for background-occupancy distribution.
         self._background_cursor = 0
-        #: RowHammer activation ledger: per channel, the tREFI window the
-        #: ledger currently covers and a ``(bank, row) -> activations``
-        #: map for that window.  Reset whenever a request lands in a later
-        #: window (with ``refresh_interval=0`` there is a single window
-        #: that never resets).
-        self._act_window: List[int] = [0] * self.num_channels
-        self._act_counts: List[Dict[Tuple[int, int], int]] = [
-            {} for _ in range(self.num_channels)
-        ]
 
     # ------------------------------------------------------------------
     # Address mapping
@@ -324,10 +307,10 @@ class DramModel:
         per_channel[channel] = per_channel.get(channel, 0) + 1
 
         start = now
-        # Refresh, the activation-ledger window and the utilisation window
-        # depend only on ``now``, so each channel settles them once per
-        # cycle: later requests at the same cycle (an MT walk's node reads)
-        # would find nothing to do, and pay the same queue penalty.
+        # Refresh and the utilisation window depend only on ``now``, so each
+        # channel settles them once per cycle: later requests at the same
+        # cycle would find nothing to do, and pay the same queue penalty
+        # (:meth:`reads_at` relies on this).
         if self._settled_at[channel] != now:
             self._settled_at[channel] = now
             # Periodic refresh: a request arriving past a due tREFI boundary
@@ -339,16 +322,6 @@ class DramModel:
                     start += timings.refresh_cycles
                     stats.refresh_stalls += 1
                     self._next_refresh[channel] = (now // interval + 1) * interval
-                # Activation ledger windows are tREFI-aligned: refresh
-                # rewrites every row, so disturbance pressure cannot carry
-                # across a boundary.  Counts never mix windows — the ledger
-                # is cleared the moment a request observes a different window.
-                window = now // interval
-                if window != self._act_window[channel]:
-                    self._act_window[channel] = window
-                    if self._act_counts[channel]:
-                        self._act_counts[channel].clear()
-                        stats.act_window_resets += 1
 
             # Utilisation-derived queueing: the previous window's measured
             # bus utilisation (in 1/1024 units) scales the maximum penalty,
@@ -375,12 +348,6 @@ class DramModel:
         else:
             stats.row_misses += 1
             self._open_rows[bank_index] = row
-            ledger = self._act_counts[channel]
-            key = (bank, row)
-            count = ledger.get(key, 0) + 1
-            ledger[key] = count
-            if count > stats.max_row_activations:
-                stats.max_row_activations = count
             service = (
                 timings.rp
                 + timings.rcd
@@ -423,6 +390,90 @@ class DramModel:
         stats.queue_cycles += latency - service
         return latency
 
+    def reads_at(self, addresses: Iterable[int], now: int) -> None:
+        """Service a read of each of ``addresses``, in order, all at ``now``.
+
+        Leaves the same state and :class:`DramStats` as one
+        ``request(address, now=now)`` per address, in one frame: the
+        per-channel counters, the utilisation windows' busy cycles and the
+        stats sums are added once per call.  Nothing is returned, because
+        the one caller, the MT walk, has no use for the latencies: they
+        overlap OTP generation (paper Sec. 5).
+
+        A read whose channel has not been settled at ``now`` goes through
+        :meth:`request`, so refresh, the utilisation window and the queue
+        penalty are defined in one place.  The simulator's designs use one
+        channel, which the counter fetch at the same cycle has settled.
+        """
+        timings = self.timings
+        burst = timings.burst
+        hit_column = timings.cas
+        miss_column = timings.rp + timings.rcd + hit_column
+        turnaround = timings.turnaround
+        channel_shift = self._channel_shift
+        channel_mask = self._channel_mask
+        bank_shift = self._bank_shift
+        bank_mask = self._bank_mask
+        row_shift = self._row_shift
+        num_banks = self.num_banks
+        settled_at = self._settled_at
+        queue_penalty = self._queue_penalty
+        open_rows = self._open_rows
+        bank_ready = self._bank_ready
+        bus_ready = self._bus_ready
+        last_write = self._last_write
+        reads = [0] * self.num_channels
+        hits = turnarounds = finish_sum = 0
+        for address in addresses:
+            channel = (address >> channel_shift) & channel_mask
+            if settled_at[channel] != now:
+                self.request(address, False, now)
+                continue
+            reads[channel] += 1
+            bank_index = channel * num_banks + ((address >> bank_shift) & bank_mask)
+            start = now + queue_penalty[channel]
+            ready = bank_ready[bank_index]
+            if ready > start:
+                start = ready
+            row = address >> row_shift
+            if open_rows[bank_index] == row:
+                hits += 1
+                burst_start = start + hit_column
+            else:
+                open_rows[bank_index] = row
+                burst_start = start + miss_column
+            gate = bus_ready[channel]
+            if last_write[channel]:
+                last_write[channel] = False
+                gate += turnaround
+                if burst_start < gate:
+                    turnarounds += 1
+            finish = (gate if burst_start < gate else burst_start) + burst
+            bus_ready[channel] = finish
+            bank_ready[bank_index] = finish
+            finish_sum += finish
+
+        count = sum(reads)
+        if not count:
+            return
+        stats = self.stats
+        misses = count - hits
+        latency = finish_sum - count * now
+        stats.reads += count
+        stats.row_hits += hits
+        stats.row_misses += misses
+        stats.read_cycles += latency
+        stats.queue_cycles += latency - count * burst - hits * hit_column - misses * miss_column
+        stats.turnarounds += turnarounds
+        per_channel = stats.per_channel
+        busy = stats.per_channel_busy
+        win_busy = self._win_busy
+        for channel, channel_reads in enumerate(reads):
+            if channel_reads:
+                per_channel[channel] = per_channel.get(channel, 0) + channel_reads
+                busy[channel] = busy.get(channel, 0) + channel_reads * burst
+                win_busy[channel] += channel_reads * burst
+
     def add_background_occupancy(self, num_requests: int) -> None:
         """Charge ``num_requests`` background 64B transfers as occupancy.
 
@@ -451,57 +502,6 @@ class DramModel:
                 # that share it, not just the occupancy ledger.
                 self._win_busy[channel] += share * burst
         self._background_cursor = (cursor + extra) % channels
-
-    # ------------------------------------------------------------------
-    # Activation ledger (RowHammer accounting)
-    # ------------------------------------------------------------------
-    def activation_counts(self, channel: Optional[int] = None) -> Dict[Tuple[int, int, int], int]:
-        """Current-refresh-window activation counts.
-
-        Returns ``{(channel, bank, row): activations}`` for the window the
-        most recent request on each channel fell into.  A pure function of
-        the request stream: replaying the same ``(block_address, is_write,
-        now)`` sequence yields byte-identical ledgers.
-        """
-        channels = range(self.num_channels) if channel is None else (channel,)
-        counts: Dict[Tuple[int, int, int], int] = {}
-        for ch in channels:
-            for (bank, row), count in self._act_counts[ch].items():
-                counts[(ch, bank, row)] = count
-        return counts
-
-    def row_activations(self, channel: int, bank: int, row: int) -> int:
-        """Activations of one row in its channel's current window."""
-        return self._act_counts[channel].get((bank, row), 0)
-
-    # ------------------------------------------------------------------
-    # Derived metrics
-    # ------------------------------------------------------------------
-    def average_latency(self) -> float:
-        """Mean latency per request.
-
-        Idle fallback is *class-consistent*: with no requests observed
-        there is no workload mix, so it averages the two per-class
-        fallbacks (read row miss and write row miss) instead of silently
-        reporting the read one.
-        """
-        if self.stats.requests == 0:
-            return (
-                self.timings.row_miss_latency + self.timings.write_miss_latency
-            ) / 2.0
-        return self.stats.busy_cycles / self.stats.requests
-
-    def average_read_latency(self) -> float:
-        """Mean latency per read; falls back to the *read* miss when idle."""
-        if self.stats.reads == 0:
-            return float(self.timings.row_miss_latency)
-        return self.stats.read_cycles / self.stats.reads
-
-    def average_write_latency(self) -> float:
-        """Mean latency per write; falls back to the write miss when idle."""
-        if self.stats.writes == 0:
-            return float(self.timings.write_miss_latency)
-        return self.stats.write_cycles / self.stats.writes
 
     def reset(self) -> None:
         """Clear row buffers, bank/bus/refresh state and statistics."""

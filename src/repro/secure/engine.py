@@ -65,13 +65,6 @@ class EngineCounters:
     writes_seen: int = 0
     reads_seen: int = 0
 
-    @property
-    def reencryption_rate(self) -> float:
-        """Overflows per write (paper Fig. 17 discussion)."""
-        if self.writes_seen == 0:
-            return 0.0
-        return self.ctr_overflows / self.writes_seen
-
 
 class SecureMemoryEngine:
     """Memory-controller model for an AES-CTR + MT protected memory."""
@@ -186,13 +179,10 @@ class SecureMemoryEngine:
         """MT walk for a counter line fetched from DRAM (traffic only)."""
         fetched, addresses = self.integrity.traverse(ctr_index)
         self.traffic.mt_reads += fetched
-        now = self._now
-        # Bound per call, never at construction: a wrapper installed on the
-        # instance afterwards (perfbench's layer tracer) must still see
-        # every request.
-        request = self.dram.request
-        for node_address in addresses:
-            request(node_address, now=now)
+        # One call for the walk's reads, looked up per call and never at
+        # construction: a wrapper installed on the instance afterwards must
+        # still see every read.
+        self.dram.reads_at(addresses, self._now)
         if self.on_authenticate is not None:
             self.on_authenticate(ctr_index, fetched)
 

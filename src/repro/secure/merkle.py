@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..mem.cache import Cache
+from ..mem.replacement import CacheLine
 from .layout import SecureLayout
 
 
@@ -238,6 +239,11 @@ class IntegrityTreeModel:
         cache_size_bytes: Capacity of the on-chip MT-node cache; 0 disables
             caching (every traversal walks to the root).
         cache_assoc: Associativity of the MT-node cache.
+
+    The node cache is exact LRU, and only :meth:`traverse` reads or fills
+    it: it is built with the default policy, nothing assigns it another,
+    and no caller writes or prefetches into it, so its lines are never
+    dirty or prefetched.
     """
 
     def __init__(
@@ -257,11 +263,17 @@ class IntegrityTreeModel:
 
         Walks the MT path leaf-parent to root, fetching nodes from DRAM
         until one hits in the MT-node cache (that node was already verified
-        against the root, so the walk can stop).  Fetched nodes are
-        installed in the cache: one :meth:`Cache.access_and_fill` per node.
-        Node addresses are computed level by level as the walk climbs (the
-        same placement as :meth:`SecureLayout.mt_path`), so a walk that
-        stops early never computes the rest of the path.
+        against the root, so the walk can stop).  Node addresses are
+        computed level by level as the walk climbs (the same placement as
+        :meth:`SecureLayout.mt_path`), so a walk that stops early never
+        computes the rest of the path.
+
+        The walk is one frame: each node's probe and fill work directly on
+        the node cache's set dicts, in the LRU set layout that
+        :mod:`repro.mem.cache` defines (a hit moves the line to the end; a
+        miss appends, recycling the set's first line when the set is
+        full), and the cache's stats are added once per walk.  Without a
+        node cache the walk fetches the whole path.
 
         Returns:
             Tuple of (nodes fetched from DRAM, their block addresses).
@@ -272,17 +284,45 @@ class IntegrityTreeModel:
         stats = self.stats
         stats.traversals += 1
         node_cache = self.node_cache
+        if node_cache is None:
+            path = layout.mt_path(ctr_index)
+            stats.root_reached += 1
+            stats.nodes_fetched += len(path)
+            return len(path), path
+        sets = node_cache._sets
+        set_mask = node_cache._set_mask
+        assoc = node_cache.assoc
         arity = layout.mt_arity
         node = ctr_index
         fetched: List[int] = []
+        evictions = 0
         for base in layout.mt_fetched_level_bases:
             node //= arity
             node_address = base + node
-            if node_cache is not None and node_cache.access_and_fill(node_address):
+            target_set = sets[node_address & set_mask]
+            line = target_set.pop(node_address, None)
+            if line is not None:
+                line.referenced = True
+                target_set[node_address] = line
+                node_cache.stats.hits += 1
                 stats.cache_hits += 1
                 break
+            # Cache.fill(node_address): never dirty or prefetched, so a
+            # recycled victim needs only its tag and reference bit reset.
+            if len(target_set) < assoc:
+                line = CacheLine(node_address)
+            else:
+                line = target_set.pop(next(iter(target_set)))
+                evictions += 1
+                line.tag = node_address
+                line.referenced = False
+            target_set[node_address] = line
             fetched.append(node_address)
         else:
             stats.root_reached += 1
-        stats.nodes_fetched += len(fetched)
-        return len(fetched), fetched
+        count = len(fetched)
+        cache_stats = node_cache.stats
+        cache_stats.misses += count
+        cache_stats.evictions += evictions
+        stats.nodes_fetched += count
+        return count, fetched

@@ -54,11 +54,15 @@ def test_row_conflict_misses():
 
 def test_reads_writes_counted():
     dram = DramModel()
-    dram.request(0)
-    dram.request(1, is_write=True)
+    rlat = dram.request(0, now=0)
+    wlat = dram.request(1, is_write=True, now=1000)
     assert dram.stats.reads == 1
     assert dram.stats.writes == 1
     assert dram.stats.requests == 2
+    # Latency sums are split by request class.
+    assert dram.stats.read_cycles == rlat
+    assert dram.stats.write_cycles == wlat
+    assert dram.stats.busy_cycles == rlat + wlat
 
 
 def test_streaming_has_high_row_hit_rate():
@@ -119,31 +123,6 @@ def test_write_recovery_delays_same_bank_access():
     rlat = dram.request(1, now=wlat + 1)
     assert rlat > dram.timings.row_hit_latency
     assert dram.stats.turnarounds == 0
-
-
-def test_average_latency_split_by_class():
-    dram = DramModel()
-    rlat = dram.request(0, now=0)
-    wlat = dram.request(1, is_write=True, now=1000)
-    assert dram.average_read_latency() == float(rlat)
-    assert dram.average_write_latency() == float(wlat)
-    assert dram.average_latency() == (rlat + wlat) / 2
-
-
-def test_average_latency_when_idle_defaults_to_worst():
-    dram = DramModel()
-    # Regression (calibration PR): the overall idle fallback is the mean
-    # of the two per-class fallbacks, not silently the read one.
-    assert dram.average_latency() == (
-        dram.timings.row_miss_latency + dram.timings.write_miss_latency
-    ) / 2.0
-    assert dram.average_read_latency() == float(dram.timings.row_miss_latency)
-    assert dram.average_write_latency() == float(dram.timings.write_miss_latency)
-    assert (
-        dram.timings.write_miss_latency
-        < dram.average_latency()
-        < dram.timings.row_miss_latency
-    )
 
 
 # ----------------------------------------------------------------------
@@ -380,64 +359,6 @@ def test_reset_stats_keeps_open_rows():
 
 
 # ----------------------------------------------------------------------
-# RowHammer activation ledger
-# ----------------------------------------------------------------------
-def test_activation_ledger_counts_row_misses_only():
-    dram = DramModel(timings=DramTimings(refresh_interval=0))
-    row_blocks = dram.row_size_bytes // 64
-    dram.request(0, now=0)                 # ACT row 0
-    dram.request(1, now=0)                 # same row: hit, no ACT
-    dram.request(row_blocks, now=0)        # ACT next chunk (another channel/bank/row)
-    dram.request(0, now=0)
-    channel, bank, row, _ = dram.decode(0)
-    first_row_acts = dram.row_activations(channel, bank, row)
-    total = sum(dram.activation_counts().values())
-    assert total == dram.stats.activations == dram.stats.row_misses
-    assert first_row_acts >= 1
-    assert dram.stats.max_row_activations == max(dram.activation_counts().values())
-
-
-def test_activation_ledger_resets_on_refresh_window():
-    interval = 1000
-    dram = DramModel(timings=DramTimings(refresh_interval=interval), num_banks=1)
-    row_blocks = dram.row_size_bytes // 64
-    # Two ACTs inside window 0 by alternating rows.
-    dram.request(0, now=0)
-    dram.request(row_blocks * dram.num_channels, now=0)
-    assert sum(dram.activation_counts().values()) == 2
-    # First request of window 3 clears the ledger and counts the reset.
-    dram.request(0, now=3 * interval + 1)
-    assert dram.stats.act_window_resets == 1
-    assert sum(dram.activation_counts().values()) == 1
-    # Lifetime activation count is unaffected by the reset.
-    assert dram.stats.activations == 3
-
-
-def test_activation_counts_filter_by_channel():
-    dram = DramModel(timings=DramTimings(refresh_interval=0), num_channels=2)
-    row_blocks = dram.row_size_bytes // 64
-    dram.request(0, now=0)            # channel 0
-    dram.request(row_blocks, now=0)   # channel 1
-    all_counts = dram.activation_counts()
-    ch0 = dram.activation_counts(channel=0)
-    ch1 = dram.activation_counts(channel=1)
-    assert set(all_counts) == set(ch0) | set(ch1)
-    assert all(key[0] == 0 for key in ch0)
-    assert all(key[0] == 1 for key in ch1)
-
-
-def test_max_row_activations_tracks_hottest_row():
-    dram = DramModel(timings=DramTimings(refresh_interval=0), num_banks=1,
-                     num_channels=1)
-    row_blocks = dram.row_size_bytes // 64
-    for _ in range(5):                     # ping-pong two rows of one bank
-        dram.request(0, now=0)
-        dram.request(row_blocks, now=0)
-    assert dram.stats.max_row_activations == 5
-    assert dram.stats.as_dict()["max_row_activations"] == 5
-
-
-# ----------------------------------------------------------------------
 # Timings fixed at construction
 # ----------------------------------------------------------------------
 def test_refresh_schedule_follows_construction_timings():
@@ -517,4 +438,65 @@ def test_same_cycle_requests_skip_settling_exactly(steps, refresh_interval):
                 model.add_background_occupancy(background)
     fast, reference = models
     assert fast.stats == reference.stats
-    assert fast.activation_counts() == reference.activation_counts()
+
+
+# ----------------------------------------------------------------------
+# Batched reads
+# ----------------------------------------------------------------------
+def _timing_state(model):
+    """Every bank, bus, refresh and utilisation list of ``model``."""
+    return (
+        model._open_rows, model._bank_ready, model._bus_ready, model._last_write,
+        model._next_refresh, model._settled_at, model._win_start, model._win_busy,
+        model._queue_penalty, model._background_cursor,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_channels=st.sampled_from([1, 2, 4]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([0, 0, 0, 1, 7, 300, 1_500]),
+            st.integers(min_value=0, max_value=255),  # every channel
+            st.booleans(),
+            st.integers(min_value=0, max_value=3),  # background requests
+            # A batch of reads at the step's cycle, issued before or after
+            # its request: before it, or on another channel, a read can
+            # find its channel not yet settled at that cycle.
+            st.lists(st.integers(min_value=0, max_value=255), max_size=8),
+            st.booleans(),
+        ),
+        min_size=10,
+        max_size=100,
+    ),
+    refresh_interval=st.sampled_from([0, 700]),
+)
+def test_reads_at_matches_one_request_per_read(num_channels, steps, refresh_interval):
+    batched, single = (
+        DramModel(timings=DramTimings(refresh_interval=refresh_interval, refresh_cycles=300),
+                  num_channels=num_channels, num_banks=2, row_size_bytes=256)
+        for _ in range(2)
+    )
+
+    def issue_batch(batch, now):
+        batched.reads_at(batch, now)
+        for address in batch:
+            single.request(address, now=now)
+
+    now = 0
+    for advance, block, is_write, background, batch, batch_first in steps:
+        now += advance
+        if batch_first:
+            issue_batch(batch, now)
+        assert (batched.request(block, is_write=is_write, now=now)
+                == single.request(block, is_write=is_write, now=now))
+        if not batch_first:
+            issue_batch(batch, now)
+        if background:
+            batched.add_background_occupancy(background)
+            single.add_background_occupancy(background)
+        assert batched.stats == single.stats
+        assert _timing_state(batched) == _timing_state(single)
+    for block in (0, 1, 64, 255):
+        assert batched.request(block, now=now + 1) == single.request(block, now=now + 1)

@@ -149,10 +149,3 @@ def test_mac_in_ecc_disables_mac_traffic():
 def test_decrypt_ready_adds_aes_latency():
     engine = make_engine()
     assert engine.decrypt_ready_latency(10) == 10 + engine.config.aes_latency
-
-
-def test_reencryption_rate_metric():
-    engine = make_engine()
-    assert engine.events.reencryption_rate == 0.0
-    engine.secure_write(0)
-    assert engine.events.reencryption_rate == 0.0

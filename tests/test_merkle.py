@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.cache import Cache
+from repro.mem.replacement import CacheLine
 from repro.secure.layout import SecureLayout
 from repro.secure.merkle import IntegrityTreeModel, MerkleTree
 
@@ -145,3 +148,61 @@ class TestTraversalModel:
         for _ in range(3):
             model.traverse(5)
         assert model.stats.nodes_fetched == 3 * len(layout.mt_path(5))
+
+
+def _per_node_traverse(model, ctr_index):
+    """The walk as one ``Cache.access_and_fill`` call per node: the
+    reference the one-frame :meth:`IntegrityTreeModel.traverse` must match."""
+    layout = model.layout
+    stats = model.stats
+    stats.traversals += 1
+    node = ctr_index
+    fetched = []
+    for base in layout.mt_fetched_level_bases:
+        node //= layout.mt_arity
+        node_address = base + node
+        if model.node_cache is not None and model.node_cache.access_and_fill(node_address):
+            stats.cache_hits += 1
+            break
+        fetched.append(node_address)
+    else:
+        stats.root_reached += 1
+    stats.nodes_fetched += len(fetched)
+    return len(fetched), fetched
+
+
+def _set_contents(cache):
+    """Every line of every set, in order, as its slot values."""
+    return [
+        [tuple(getattr(line, slot) for slot in CacheLine.__slots__)
+         for line in cache.set_contents(index)]
+        for index in range(cache.num_sets)
+    ]
+
+
+@pytest.mark.parametrize("arity", [2, 8])
+@pytest.mark.parametrize("cache_bytes", [0, 4096])
+@settings(max_examples=30, deadline=None)
+@given(
+    # Counters near the start (shared paths, node-cache hits) mixed with
+    # counters anywhere (cold paths, evictions from the 64-line cache).
+    stream=st.lists(
+        st.one_of(st.integers(min_value=0, max_value=63),
+                  st.integers(min_value=0, max_value=(1 << 13) - 1)),
+        min_size=1,
+        max_size=200,
+    ),
+)
+def test_one_frame_walk_matches_per_node_reference(arity, cache_bytes, stream):
+    layout = SecureLayout(data_blocks=1 << 20, blocks_per_ctr=128, mt_arity=arity)
+    assert layout.ctr_blocks == 1 << 13
+    walked, reference = (IntegrityTreeModel(layout, cache_size_bytes=cache_bytes)
+                         for _ in range(2))
+    for ctr in stream:
+        assert walked.traverse(ctr) == _per_node_traverse(reference, ctr)
+    assert walked.stats == reference.stats
+    if cache_bytes == 0:
+        assert walked.node_cache is None and reference.node_cache is None
+        return
+    assert walked.node_cache.stats == reference.node_cache.stats
+    assert _set_contents(walked.node_cache) == _set_contents(reference.node_cache)
