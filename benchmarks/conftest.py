@@ -7,6 +7,8 @@ the rows the paper reports.  Environment knobs:
 
     REPRO_TRACE_LEN=250000   accesses per trace
     REPRO_QUICK=1            5x shorter traces for smoke runs
+    REPRO_NO_CACHE=1         simulate every cell: time a cold run, not
+                             a read of the on-disk result cache
 """
 
 import pytest

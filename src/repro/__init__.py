@@ -47,7 +47,6 @@ from .sim import (
     SimulationResult,
     Simulator,
     simulate,
-    simulate_designs,
     smat,
 )
 from .exec import (
@@ -100,7 +99,6 @@ __all__ = [
     "generate_spec_trace",
     "make_design",
     "simulate",
-    "simulate_designs",
     "smat",
     "__version__",
 ]

@@ -4,7 +4,7 @@ from . import experiments
 from .charts import bar_chart, series_chart, sparkline
 from .export import export_experiment, read_json, write_csv, write_json, write_markdown
 from .report import format_table, geometric_mean, print_experiment
-from .runner import default_config, get_trace, run_design, run_matrix, trace_length
+from .runner import default_config, get_trace, run_cells, run_design_matrix, trace_length
 from .stats import SampleSummary, SeededComparison, compare_over_seeds
 from .summary import generate_report
 
@@ -27,7 +27,7 @@ __all__ = [
     "geometric_mean",
     "get_trace",
     "print_experiment",
-    "run_design",
-    "run_matrix",
+    "run_cells",
+    "run_design_matrix",
     "trace_length",
 ]

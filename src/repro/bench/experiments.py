@@ -10,44 +10,20 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..core.config import CosmosConfig
 from ..core.overhead import compute_overhead
 from ..core.tuning import extract_footprint, tune_hyperparameters, tune_rewards
-from ..secure.engine import EngineConfig
-from ..sim.config import SimulationConfig
+from ..exec import make_spec
 from ..sim.simulator import Simulator, build_design
 from ..workloads.graph_algos import GRAPH_WORKLOADS
 from ..workloads.ml import ML_WORKLOADS
 from ..workloads.spec import SPEC_WORKLOADS
 from .report import geometric_mean, print_experiment
-from .runner import default_config, get_trace, run_design, run_design_matrix, run_matrix
+from .runner import default_config, get_trace, run_cells, run_design_matrix
 
 #: Default workload sets (paper Sec. 5).
 DEFAULT_GRAPHS = list(GRAPH_WORKLOADS)
 DEFAULT_IRREGULAR = DEFAULT_GRAPHS + list(SPEC_WORKLOADS)
 FIG15_GRAPHS = ["bfs", "dfs", "tc", "gc", "cc", "sp", "dc"]  # paper Fig. 15
-
-
-def _with_engine(config: SimulationConfig, engine: EngineConfig) -> SimulationConfig:
-    return SimulationConfig(
-        hierarchy=config.hierarchy,
-        memory_bytes=config.memory_bytes,
-        counter_scheme=config.counter_scheme,
-        engine=engine,
-        cosmos=config.cosmos,
-        cpu=config.cpu,
-    )
-
-
-def _with_cosmos(config: SimulationConfig, cosmos: CosmosConfig) -> SimulationConfig:
-    return SimulationConfig(
-        hierarchy=config.hierarchy,
-        memory_bytes=config.memory_bytes,
-        counter_scheme=config.counter_scheme,
-        engine=config.engine,
-        cosmos=cosmos,
-        cpu=config.cpu,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -56,10 +32,11 @@ def _with_cosmos(config: SimulationConfig, cosmos: CosmosConfig) -> SimulationCo
 def figure2(workloads: Optional[List[str]] = None, quiet: bool = False) -> List[Dict[str, object]]:
     """Traffic breakdown and CTR miss rate, NP vs secure memory."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
+    matrix = run_design_matrix(["np", "morphctr"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        np_result = run_design("np", workload)
-        secure = run_design("morphctr", workload)
+        np_result = matrix[workload]["np"]
+        secure = matrix[workload]["morphctr"]
         np_total = max(np_result.traffic.total, 1)
         traffic = secure.traffic
         rows.append(
@@ -96,13 +73,16 @@ def figure3(
     """CTR-cache miss rate as capacity scales 128KB -> 2MB (scaled /16)."""
     workloads = workloads if workloads is not None else ["dfs", "pr", "gc"]
     sizes_kb = sizes_kb if sizes_kb is not None else [8, 16, 32, 64, 128]
+    results = iter(run_cells([
+        make_spec("morphctr", workload,
+                  config=default_config().with_ctr_cache_bytes(size_kb * 1024))
+        for size_kb in sizes_kb for workload in workloads
+    ]))
     rows: List[Dict[str, object]] = []
     for size_kb in sizes_kb:
         row: Dict[str, object] = {"ctr_cache_kb": size_kb, "paper_equiv_kb": size_kb * 16}
         for workload in workloads:
-            config = default_config().with_ctr_cache_bytes(size_kb * 1024)
-            result = run_design("morphctr", workload, config)
-            row[f"{workload}_miss"] = result.ctr_miss_rate
+            row[f"{workload}_miss"] = next(results).ctr_miss_rate
         rows.append(row)
     if not quiet:
         print_experiment(
@@ -119,10 +99,11 @@ def figure3(
 def figure4(workloads: Optional[List[str]] = None, quiet: bool = False) -> List[Dict[str, object]]:
     """Early (post-L1) vs baseline (post-LLC) CTR access."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
+    matrix = run_design_matrix(["morphctr", "early"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        after_llc = run_design("morphctr", workload)
-        after_l1 = run_design("early", workload)
+        after_llc = matrix[workload]["morphctr"]
+        after_l1 = matrix[workload]["early"]
         base_rw = max(
             after_llc.traffic.data_reads + after_llc.traffic.data_writes
             + after_llc.traffic.ctr_reads + after_llc.traffic.ctr_writes, 1
@@ -167,13 +148,14 @@ def figure5(workload: str = "dfs", quiet: bool = False) -> List[Dict[str, object
         ("ship", None, "ship"),
         ("mockingjay", None, "mockingjay"),
     ]
+    results = run_cells([
+        make_spec("early", workload, config=replace(config, engine=replace(
+            config.engine, ctr_prefetcher_name=prefetcher, ctr_policy_name=policy)))
+        for _, prefetcher, policy in variants
+    ])
     rows: List[Dict[str, object]] = []
     baseline_ipc = None
-    for label, prefetcher, policy in variants:
-        engine = replace(
-            config.engine, ctr_prefetcher_name=prefetcher, ctr_policy_name=policy
-        )
-        result = run_design("early", workload, _with_engine(config, engine))
+    for (label, _, _), result in zip(variants, results):
         if baseline_ipc is None:
             baseline_ipc = result.ipc
         rows.append(
@@ -259,10 +241,13 @@ def figure9(
     """CET entries vs %good-locality tags and LCR-CTR miss rate."""
     config = default_config()
     cet_sizes = cet_sizes if cet_sizes is not None else [128, 256, 512, 1024, 2048, 4096]
+    results = run_cells([
+        make_spec("cosmos", workload,
+                  config=replace(config, cosmos=replace(config.cosmos, cet_entries=entries)))
+        for entries in cet_sizes
+    ])
     rows: List[Dict[str, object]] = []
-    for entries in cet_sizes:
-        cosmos = replace(config.cosmos, cet_entries=entries)
-        result = run_design("cosmos", workload, _with_cosmos(config, cosmos))
+    for entries, result in zip(cet_sizes, results):
         rows.append(
             {
                 "cet_entries": entries,
@@ -336,7 +321,7 @@ def figure11(
     """CTR-cache miss rate across MorphCtr and the COSMOS variants."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
     designs = ["morphctr", "cosmos-dp", "cosmos-cp", "cosmos"]
-    matrix = run_matrix(designs, workloads)
+    matrix = run_design_matrix(designs, workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
         row: Dict[str, object] = {"workload": workload}
@@ -363,9 +348,10 @@ def figure12(
 ) -> List[Dict[str, object]]:
     """Prediction outcome distribution + accuracy for the data predictor."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
+    matrix = run_design_matrix(["cosmos"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        result = run_design("cosmos", workload)
+        result = matrix[workload]["cosmos"]
         rows.append(
             {
                 "workload": workload,
@@ -393,10 +379,11 @@ def figure13(
 ) -> List[Dict[str, object]]:
     """Good-locality fraction: full COSMOS vs COSMOS-CP."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
+    matrix = run_design_matrix(["cosmos", "cosmos-cp"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        full = run_design("cosmos", workload)
-        cp = run_design("cosmos-cp", workload)
+        full = matrix[workload]["cosmos"]
+        cp = matrix[workload]["cosmos-cp"]
         rows.append(
             {
                 "workload": workload,
@@ -426,7 +413,7 @@ def figure14(
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
     config = default_config()
     designs = ["morphctr", "cosmos-cp", "cosmos-dp", "cosmos"]
-    matrix = run_matrix(designs, workloads)
+    matrix = run_design_matrix(designs, workloads)
     dram_latency = 96.0  # row-miss latency + queueing of the DDR4 model
     rows: List[Dict[str, object]] = []
     for workload in workloads:
@@ -516,7 +503,7 @@ def figure16(
     """COSMOS vs the idealised EMCC implementation, normalised to NP."""
     workloads = workloads if workloads is not None else DEFAULT_GRAPHS
     designs = ["np", "morphctr", "emcc", "rmcc", "cosmos"]
-    matrix = run_matrix(designs, workloads)
+    matrix = run_design_matrix(designs, workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
         np_result = matrix[workload]["np"]
@@ -552,11 +539,12 @@ def figure17(
 ) -> List[Dict[str, object]]:
     """COSMOS vs MorphCtr on regular-pattern ML inference workloads."""
     workloads = workloads if workloads is not None else list(ML_WORKLOADS)
+    matrix = run_design_matrix(["np", "morphctr", "cosmos"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        np_result = run_design("np", workload)
-        base = run_design("morphctr", workload)
-        cosmos = run_design("cosmos", workload)
+        np_result = matrix[workload]["np"]
+        base = matrix[workload]["morphctr"]
+        cosmos = matrix[workload]["cosmos"]
         reenc = base.traffic.reencryption_requests
         rows.append(
             {
@@ -691,18 +679,13 @@ def table4(workload: str = "dfs", quiet: bool = False) -> List[Dict[str, object]
 # ----------------------------------------------------------------------
 def ablation_counter_schemes(workload: str = "dfs", quiet: bool = False) -> List[Dict[str, object]]:
     """Monolithic vs split vs MorphCtr counters under the baseline design."""
+    schemes = ("monolithic", "split", "morphctr")
+    results = run_cells([
+        make_spec("morphctr", workload, config=replace(default_config(), counter_scheme=scheme))
+        for scheme in schemes
+    ])
     rows: List[Dict[str, object]] = []
-    for scheme in ("monolithic", "split", "morphctr"):
-        config = default_config()
-        config = SimulationConfig(
-            hierarchy=config.hierarchy,
-            memory_bytes=config.memory_bytes,
-            counter_scheme=scheme,
-            engine=config.engine,
-            cosmos=config.cosmos,
-            cpu=config.cpu,
-        )
-        result = run_design("morphctr", workload, config)
+    for scheme, result in zip(schemes, results):
         rows.append(
             {
                 "scheme": scheme,
@@ -723,11 +706,15 @@ def ablation_counter_schemes(workload: str = "dfs", quiet: bool = False) -> List
 
 def ablation_mt_cache(workload: str = "dfs", quiet: bool = False) -> List[Dict[str, object]]:
     """MT-node cache capacity vs MT read traffic."""
+    config = default_config()
+    sizes_kb = (0, 2, 8, 32, 128)
+    results = run_cells([
+        make_spec("morphctr", workload, config=replace(
+            config, engine=replace(config.engine, mt_cache_bytes=size_kb * 1024)))
+        for size_kb in sizes_kb
+    ])
     rows: List[Dict[str, object]] = []
-    for size_kb in (0, 2, 8, 32, 128):
-        config = default_config()
-        engine = replace(config.engine, mt_cache_bytes=size_kb * 1024)
-        result = run_design("morphctr", workload, _with_engine(config, engine))
+    for size_kb, result in zip(sizes_kb, results):
         rows.append(
             {
                 "mt_cache_kb": size_kb,
@@ -786,7 +773,6 @@ def ablation_lcr_policy(workload: str = "dfs", quiet: bool = False) -> List[Dict
     plus plain LRU at the same capacity, all on the full-COSMOS stream.
     """
     from ..core.lcr_cache import LcrReplacementPolicy
-    from ..sim.simulator import build_design, Simulator
 
     config = default_config()
     trace = get_trace(workload)
@@ -839,10 +825,12 @@ def ablation_synergy(workload: str = "dfs", quiet: bool = False) -> List[Dict[st
     authentication costs no DRAM accesses; COSMOS's CTR-side gains stack
     on top.
     """
+    designs = ("morphctr", "synergy", "cosmos", "cosmos-synergy")
+    matrix = run_design_matrix(["np", *designs], [workload])[workload]
     rows: List[Dict[str, object]] = []
-    np_result = run_design("np", workload)
-    for design in ("morphctr", "synergy", "cosmos", "cosmos-synergy"):
-        result = run_design(design, workload)
+    np_result = matrix["np"]
+    for design in designs:
+        result = matrix[design]
         rows.append(
             {
                 "design": design,
@@ -873,11 +861,12 @@ def generality_db(
     from ..workloads.db import DB_WORKLOADS
 
     workloads = workloads if workloads is not None else list(DB_WORKLOADS)
+    matrix = run_design_matrix(["np", "morphctr", "cosmos"], workloads)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        np_result = run_design("np", workload)
-        base = run_design("morphctr", workload)
-        cosmos = run_design("cosmos", workload)
+        np_result = matrix[workload]["np"]
+        base = matrix[workload]["morphctr"]
+        cosmos = matrix[workload]["cosmos"]
         rows.append(
             {
                 "workload": workload,
@@ -904,33 +893,23 @@ def ablation_cpu_model(workload: str = "dfs", quiet: bool = False) -> List[Dict[
     shows the COSMOS > MorphCtr ordering is not an artefact of one
     calibration point.
     """
-    from ..sim.config import CpuModel
-
-    rows: List[Dict[str, object]] = []
     base = default_config()
-    trace = get_trace(workload)
-    from ..sim.simulator import simulate as _simulate
-
-    for mlp in (2.0, 4.0, 8.0):
-        for bandwidth in (2.0, 6.0, 12.0):
-            cpu = CpuModel(mlp_factor=mlp, dram_bandwidth_cycles_per_request=bandwidth)
-            config = SimulationConfig(
-                hierarchy=base.hierarchy,
-                memory_bytes=base.memory_bytes,
-                counter_scheme=base.counter_scheme,
-                engine=base.engine,
-                cosmos=base.cosmos,
-                cpu=cpu,
-            )
-            morphctr = _simulate("morphctr", trace, config, workload=workload)
-            cosmos = _simulate("cosmos", trace, config, workload=workload)
-            rows.append(
-                {
-                    "mlp_factor": mlp,
-                    "bandwidth_cycles": bandwidth,
-                    "cosmos_gain": cosmos.speedup_over(morphctr),
-                }
-            )
+    corners = [(mlp, bandwidth) for mlp in (2.0, 4.0, 8.0) for bandwidth in (2.0, 6.0, 12.0)]
+    results = iter(run_cells([
+        make_spec(design, workload, config=replace(base, cpu=replace(
+            base.cpu, mlp_factor=mlp, dram_bandwidth_cycles_per_request=bandwidth)))
+        for mlp, bandwidth in corners for design in ("morphctr", "cosmos")
+    ]))
+    rows: List[Dict[str, object]] = []
+    for mlp, bandwidth in corners:
+        morphctr, cosmos = next(results), next(results)
+        rows.append(
+            {
+                "mlp_factor": mlp,
+                "bandwidth_cycles": bandwidth,
+                "cosmos_gain": cosmos.speedup_over(morphctr),
+            }
+        )
     if not quiet:
         print_experiment(
             f"Ablation: IPC-proxy sensitivity ({workload})",
@@ -990,12 +969,15 @@ def ablation_paging(workload: str = "dfs", quiet: bool = False) -> List[Dict[str
 
 def ablation_exploration(workload: str = "dfs", quiet: bool = False) -> List[Dict[str, object]]:
     """Epsilon sweep for the data-location predictor."""
-    rows: List[Dict[str, object]] = []
     config = default_config()
-    for epsilon in (0.0, 0.01, 0.1, 0.3, 0.6):
-        hyper = replace(config.cosmos.hyper, epsilon_d=epsilon)
-        cosmos = replace(config.cosmos, hyper=hyper)
-        result = run_design("cosmos-dp", workload, _with_cosmos(config, cosmos))
+    epsilons = (0.0, 0.01, 0.1, 0.3, 0.6)
+    results = run_cells([
+        make_spec("cosmos-dp", workload, config=replace(config, cosmos=replace(
+            config.cosmos, hyper=replace(config.cosmos.hyper, epsilon_d=epsilon))))
+        for epsilon in epsilons
+    ])
+    rows: List[Dict[str, object]] = []
+    for epsilon, result in zip(epsilons, results):
         rows.append(
             {
                 "epsilon_d": epsilon,

@@ -47,27 +47,26 @@ def write_json(rows: List[Dict[str, object]], path: PathLike, experiment: str = 
     return path
 
 
-def write_markdown(rows: List[Dict[str, object]], path: PathLike, title: str = "") -> Path:
-    """Write rows as a GitHub-flavoured Markdown table."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def markdown_table(rows: List[Dict[str, object]]) -> str:
+    """Rows as a GitHub-flavoured Markdown table (floats to 4 significant digits)."""
     columns = _columns(rows)
-    lines: List[str] = []
-    if title:
-        lines.append(f"# {title}")
-        lines.append("")
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("| " + " | ".join("---" for _ in columns) + " |")
+    lines = ["| " + " | ".join(columns) + " |",
+             "| " + " | ".join("---" for _ in columns) + " |"]
     for row in rows:
         cells = []
         for column in columns:
             value = row.get(column, "")
-            if isinstance(value, float):
-                cells.append(f"{value:.4g}")
-            else:
-                cells.append(str(value))
+            cells.append(f"{value:.4g}" if isinstance(value, float) else str(value))
         lines.append("| " + " | ".join(cells) + " |")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines)
+
+
+def write_markdown(rows: List[Dict[str, object]], path: PathLike, title: str = "") -> Path:
+    """Write rows as a GitHub-flavoured Markdown table."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    heading = f"# {title}\n\n" if title else ""
+    path.write_text(heading + markdown_table(rows) + "\n")
     return path
 
 

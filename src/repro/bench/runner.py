@@ -6,6 +6,9 @@ uses identical settings:
 * the scaled paper configuration (``scaled_paper_config(16)``; see
   EXPERIMENTS.md for the scaling substitution),
 * deterministic trace generation with an on-disk cache (numpy ``.npz``),
+* :func:`run_cells`, the one way an experiment simulates a (design,
+  workload, config) cell: through :mod:`repro.exec`, so every sweep gets
+  ``--jobs``, the result cache and a run manifest,
 * environment knobs for quick runs::
 
       REPRO_TRACE_LEN     total accesses per trace (default 150000)
@@ -17,12 +20,13 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .. import obs
+from ..exec import JobSpec, ParallelRunner, ResultCache, get_options, make_spec
+from ..exec.jobs import generator_digest
 from ..sim.config import SimulationConfig, scaled_paper_config
 from ..sim.results import SimulationResult
-from ..sim.simulator import simulate
 from ..workloads.db import DB_WORKLOADS, generate_db_trace
 from ..workloads.graph_algos import GRAPH_WORKLOADS, generate_graph_trace
 from ..workloads.hammer import HAMMER_WORKLOADS, generate_hammer_trace
@@ -112,6 +116,9 @@ def get_trace(
     key = f"{workload}-c{num_cores}-n{length}-g{scale}"
     if seed is not None:
         key += f"-s{seed}"
+    # The generators' code is part of the key: an edited generator misses
+    # the .npz cache instead of replaying a trace it no longer makes.
+    key += f"-{generator_digest()[:16]}"
     cached = _MEMORY_CACHE.get(key)
     if cached is not None:
         return cached
@@ -162,36 +169,39 @@ def _generate(
 # ----------------------------------------------------------------------
 # Runs
 # ----------------------------------------------------------------------
-_RESULT_CACHE: Dict[tuple, SimulationResult] = {}
+#: Results of the cells simulated or loaded in this process, keyed by
+#: :meth:`~repro.exec.jobs.JobSpec.content_hash`.  Figures read the same
+#: cells (10-13 report different metrics of the same runs, as the paper
+#: does), and a sweep point equal to the default configuration is the
+#: default cell.
+_RESULT_CACHE: Dict[str, SimulationResult] = {}
 
 
-def run_design(
-    design: str,
-    workload: str,
-    config: Optional[SimulationConfig] = None,
-    num_cores: int = 4,
-    max_accesses: Optional[int] = None,
-) -> SimulationResult:
-    """Simulate one (design, workload) pair under the standard methodology.
+def run_cells(specs: Sequence[JobSpec]) -> List[SimulationResult]:
+    """The result of every cell in ``specs``, in spec order.
 
-    Runs under the *default* configuration are memoised for the lifetime of
-    the process — several figures (10, 11, 12, 13) report different metrics
-    of the same runs, exactly as the paper does.
+    Cells already in the process memo are not run again.  The rest go
+    through one :class:`~repro.exec.runner.ParallelRunner` under the
+    process-wide execution options (``--jobs``/``--no-cache``, else
+    ``REPRO_JOBS``/``REPRO_NO_CACHE``/``REPRO_JOB_TIMEOUT``), which
+    collapses duplicates, answers from the on-disk result cache and writes
+    a run manifest.
     """
-    cache_key = None
-    if config is None:
-        cache_key = (design, workload, trace_digest(workload), num_cores,
-                     max_accesses if max_accesses is not None else trace_length(),
-                     graph_scale())
-        cached = _RESULT_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
-        config = default_config(num_cores)
-    trace = get_trace(workload, num_cores=num_cores, max_accesses=max_accesses)
-    result = simulate(design, trace, config, workload=workload)
-    if cache_key is not None:
-        _RESULT_CACHE[cache_key] = result
-    return result
+    hashes = [spec.content_hash() for spec in specs]
+    pending = [spec for spec, job_hash in zip(specs, hashes) if job_hash not in _RESULT_CACHE]
+    if pending:
+        options = get_options()
+        root = cache_dir()
+        runner = ParallelRunner(
+            jobs=options.jobs,
+            cache=ResultCache(root / "results") if options.use_cache else None,
+            timeout=options.timeout,
+            retries=options.retries,
+            manifest_dir=root / "manifests",
+            jobs_source=options.jobs_source,
+        )
+        _RESULT_CACHE.update(runner.run(pending))
+    return [_RESULT_CACHE[job_hash] for job_hash in hashes]
 
 
 def run_design_matrix(
@@ -200,87 +210,24 @@ def run_design_matrix(
     config: Optional[SimulationConfig] = None,
     num_cores: int = 4,
     max_accesses: Optional[int] = None,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
 ) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run every (design × workload) cell through :mod:`repro.exec`.
+    """Every (design × workload) cell through :func:`run_cells`.
 
-    This is the fan-out entry point the figure/table reproductions use:
-    cells become independent :class:`~repro.exec.jobs.JobSpec` jobs,
-    deduplicated, answered from the on-disk result cache where possible,
-    and executed on a worker pool when ``jobs > 1``.
-
-    ``jobs``/``use_cache``/``timeout`` default to the process-wide
-    execution options (CLI ``--jobs``/``--no-cache`` flags, else the
-    ``REPRO_JOBS``/``REPRO_NO_CACHE``/``REPRO_JOB_TIMEOUT`` environment).
-
-    Returns results indexed as ``matrix[workload][design]``, exactly like
-    :func:`run_matrix`.
+    ``config``, ``num_cores`` and ``max_accesses`` follow
+    :func:`~repro.exec.jobs.make_spec`: ``None`` means the harness default.
+    Returns results indexed as ``matrix[workload][design]``.
     """
-    from ..exec import ParallelRunner, ResultCache, get_options, make_spec
-
-    options = get_options()
-    jobs_source = "explicit" if jobs is not None else options.jobs_source
-    jobs = jobs if jobs is not None else options.jobs
-    use_cache = use_cache if use_cache is not None else options.use_cache
-    timeout = timeout if timeout is not None else options.timeout
-
-    # Default-configuration cells share the in-process memo with
-    # run_design(): figures 10-13 intentionally re-read the same runs.
-    def memo_key(design: str, workload: str) -> Optional[tuple]:
-        if config is not None or max_accesses is not None:
-            return None
-        return (design, workload, trace_digest(workload), num_cores, trace_length(),
-                graph_scale())
-
+    # Design-major: concurrent workers then start on *different* workloads,
+    # so each trace is generated once and cached (.npz) before the
+    # remaining designs need it, instead of every worker racing to generate
+    # the same trace.
+    cells = [(design, workload) for design in designs for workload in workloads]
+    results = run_cells([
+        make_spec(design, workload, config=config, num_cores=num_cores,
+                  max_accesses=max_accesses)
+        for design, workload in cells
+    ])
     matrix: Dict[str, Dict[str, SimulationResult]] = {w: {} for w in workloads}
-    cells: List[tuple] = []  # (workload, design, job_hash)
-    specs = []
-    # Submit design-major: concurrent workers then start on *different*
-    # workloads, so each trace is generated once and cached (.npz) before
-    # the remaining designs need it, instead of every worker racing to
-    # generate the same trace.
-    for design in designs:
-        for workload in workloads:
-            key = memo_key(design, workload)
-            memoised = _RESULT_CACHE.get(key) if key is not None else None
-            if memoised is not None:
-                matrix[workload][design] = memoised
-                continue
-            spec = make_spec(design, workload, config=config, num_cores=num_cores,
-                             max_accesses=max_accesses)
-            cells.append((workload, design, spec.content_hash()))
-            specs.append(spec)
-
-    if specs:
-        root = cache_dir()
-        runner = ParallelRunner(
-            jobs=jobs,
-            cache=ResultCache(root / "results") if use_cache else None,
-            timeout=timeout,
-            manifest_dir=root / "manifests",
-            jobs_source=jobs_source,
-        )
-        results = runner.run(specs)
-        for workload, design, job_hash in cells:
-            result = results[job_hash]
-            matrix[workload][design] = result
-            key = memo_key(design, workload)
-            if key is not None:
-                _RESULT_CACHE[key] = result
+    for (design, workload), result in zip(cells, results):
+        matrix[workload][design] = result
     return matrix
-
-
-def run_matrix(
-    designs: List[str],
-    workloads: List[str],
-    config: Optional[SimulationConfig] = None,
-    num_cores: int = 4,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Results indexed as ``matrix[workload][design]``.
-
-    Thin wrapper over :func:`run_design_matrix` kept for its original
-    signature; inherits the process-wide parallelism/caching options.
-    """
-    return run_design_matrix(designs, workloads, config=config, num_cores=num_cores)

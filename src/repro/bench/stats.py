@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ..exec import make_spec
 from ..sim.config import SimulationConfig
-from ..sim.simulator import simulate
-from .runner import default_config, get_trace
+from .runner import run_cells
 
 #: Two-sided 95% Student-t critical values, ``scipy.stats.t.ppf(0.975, df)``
 #: for df = 1..30.  Larger samples use the df-30 value, so the interval can
@@ -108,12 +108,13 @@ def compare_over_seeds(
     Each seed generates a fresh trace (same distribution, different
     randomness); both designs see the identical trace per seed.
     """
-    config = config if config is not None else default_config()
     comparison = SeededComparison(design=design, baseline=baseline, workload=workload)
+    results = iter(run_cells([
+        make_spec(name, workload, config=config, max_accesses=max_accesses, seed=seed)
+        for seed in seeds for name in (baseline, design)
+    ]))
     for seed in seeds:
-        trace = get_trace(workload, max_accesses=max_accesses, seed=seed)
-        base_result = simulate(baseline, trace, config, workload=workload)
-        design_result = simulate(design, trace, config, workload=workload)
+        base_result, design_result = next(results), next(results)
         comparison.seeds.append(seed)
         comparison.speedups.append(design_result.speedup_over(base_result))
     return comparison

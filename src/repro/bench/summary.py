@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import experiments
-from .export import write_markdown
+from .export import markdown_table, write_markdown
 from .report import format_table
 
 PathLike = Union[str, Path]
@@ -78,7 +78,7 @@ def generate_report(
         elapsed = time.time() - start
         lines.append(f"## {name}")
         lines.append("")
-        lines.append(_markdown_table(rows))
+        lines.append(markdown_table(rows) if rows else "(no rows)")
         lines.append("")
         lines.append(f"_{len(rows)} rows, computed in {elapsed:.1f}s._")
         lines.append("")
@@ -86,25 +86,6 @@ def generate_report(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines))
     return path
-
-
-def _markdown_table(rows: List[Dict[str, object]]) -> str:
-    if not rows:
-        return "(no rows)"
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    out: List[str] = ["| " + " | ".join(columns) + " |",
-                      "| " + " | ".join("---" for _ in columns) + " |"]
-    for row in rows:
-        cells = []
-        for column in columns:
-            value = row.get(column, "")
-            cells.append(f"{value:.4g}" if isinstance(value, float) else str(value))
-        out.append("| " + " | ".join(cells) + " |")
-    return "\n".join(out)
 
 
 __all__ = ["REPORT_EXPERIMENTS", "generate_report", "format_table", "write_markdown"]

@@ -7,18 +7,21 @@ process can execute the job without consulting any ambient state.
 
 Every spec has a stable **content hash** — a SHA-256 over the design name,
 workload, seed and the canonicalised :class:`~repro.sim.config.SimulationConfig`,
-plus the file's own SHA-256 for a ``trace:<path>`` workload — which keys
-the on-disk :class:`~repro.exec.cache.ResultCache` and deduplicates
-identical cells inside one run.
+plus the file's own SHA-256 for a ``trace:<path>`` workload and a digest of
+the model's source code — which keys the on-disk
+:class:`~repro.exec.cache.ResultCache` and deduplicates identical cells
+inside one run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from pathlib import Path
+from typing import Dict, Optional, Sequence
 
 from ..sim.config import SimulationConfig
 from ..workloads.ingest import trace_digest
@@ -26,6 +29,40 @@ from ..workloads.ingest import trace_digest
 #: Bump when the hash inputs or the simulation semantics they describe
 #: change incompatibly; stale cache entries then miss instead of lying.
 SPEC_VERSION = 1
+
+#: The packages whose code decides a cell's result.  Their sources are
+#: hashed into every job hash, so editing the model misses the result
+#: cache instead of serving a result computed by older code.
+MODEL_PACKAGES = ("core", "mem", "secure", "sim", "workloads")
+
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_digest(packages: Sequence[str], root: Path = _PACKAGE_ROOT) -> str:
+    """SHA-256 over the ``*.py`` files of ``packages`` under ``root``.
+
+    Each file contributes its path relative to ``root`` and its bytes, so
+    an edited, added, removed or renamed module changes the digest.
+    """
+    digest = hashlib.sha256()
+    for package in packages:
+        for path in sorted(Path(root, package).rglob("*.py")):
+            source = path.read_bytes()
+            digest.update(f"{path.relative_to(root).as_posix()}\0{len(source)}\0".encode())
+            digest.update(source)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """:func:`source_digest` of :data:`MODEL_PACKAGES`, once per process."""
+    return source_digest(MODEL_PACKAGES)
+
+
+@functools.lru_cache(maxsize=None)
+def generator_digest() -> str:
+    """:func:`source_digest` of the trace generators, once per process."""
+    return source_digest(("workloads",))
 
 
 def canonical_config_dict(config: SimulationConfig) -> Dict[str, object]:
@@ -64,12 +101,14 @@ class JobSpec:
     def content_hash(self) -> str:
         """Stable SHA-256 over every field, the configuration included.
 
-        A ``trace:<path>`` workload also hashes the file's contents, so an
-        edited trace misses the result cache instead of serving the old
-        result.
+        The model's sources (:func:`model_digest`) are hashed too, and a
+        ``trace:<path>`` workload also hashes the file's contents, so a
+        model change or an edited trace misses the result cache instead of
+        serving the old result.
         """
         fields = {
             "spec_version": SPEC_VERSION,
+            "model": model_digest(),
             "design": self.design,
             "workload": self.workload,
             "num_cores": self.num_cores,
@@ -109,8 +148,7 @@ def make_spec(
 ) -> JobSpec:
     """Resolve harness defaults and environment knobs into a :class:`JobSpec`.
 
-    Mirrors the argument conventions of ``bench.runner.run_design``: a
-    ``None`` config means the standard scaled-paper configuration, a
+    A ``None`` config means the standard scaled-paper configuration, a
     ``None`` ``max_accesses`` means the environment-controlled default
     trace length.
     """

@@ -1,7 +1,7 @@
 """Process-wide execution options (CLI flags and environment knobs).
 
-The CLI sets these once per invocation; library entry points
-(``bench.runner.run_design_matrix``) read them as defaults so every
+The CLI sets these once per invocation; ``bench.runner.run_cells``, the
+one way the figure harness simulates a cell, reads them, so every
 experiment in a ``reproduce`` sweep inherits ``--jobs``/``--no-cache``
 without threading parameters through each figure function.
 
@@ -44,7 +44,7 @@ def auto_jobs(cap: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """Defaults applied by :func:`repro.bench.runner.run_design_matrix`.
+    """Options applied by :func:`repro.bench.runner.run_cells`.
 
     Attributes:
         jobs: Worker processes; 1 executes in-process (serial).

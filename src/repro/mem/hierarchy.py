@@ -9,7 +9,7 @@ work for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from .access import MemoryAccess
@@ -46,19 +46,15 @@ class HierarchyConfig:
     l2_prefetcher: str = "stride"
 
     def scaled_llc_for_cores(self) -> "HierarchyConfig":
-        """Return a copy with the LLC scaled 2MB-per-core (paper Fig. 15).
+        """Return a copy whose LLC holds an absolute 2MB per core (Fig. 15).
 
-        The paper's 8-core experiment uses a 16MB shared LLC; this helper
-        applies the same 2MB/core scaling rule for any core count.
+        The paper's 8-core experiment uses a 16MB shared LLC.  The rule
+        sets the capacity to ``2MB * num_cores`` whatever LLC the base had,
+        keeping only its associativity and latency, so on a capacity-scaled
+        configuration it is not the paper's 2x: the 8-core copy of
+        ``scaled_paper_config(16)`` gets 16MB, 32x its 4-core 512KB.
         """
-        scaled = LevelConfig(2 * 1024 * 1024 * self.num_cores, self.llc.assoc, self.llc.latency)
-        return HierarchyConfig(
-            num_cores=self.num_cores,
-            l1=self.l1,
-            l2=self.l2,
-            llc=scaled,
-            l2_prefetcher=self.l2_prefetcher,
-        )
+        return replace(self, llc=replace(self.llc, size_bytes=2 * 1024 * 1024 * self.num_cores))
 
 
 @dataclass(frozen=True)

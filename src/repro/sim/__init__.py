@@ -2,7 +2,7 @@
 
 from .config import CpuModel, SimulationConfig, small_test_config
 from .results import SimulationResult
-from .simulator import Simulator, build_design, build_layout, simulate, simulate_designs
+from .simulator import Simulator, build_design, build_layout, simulate
 from .smat import SmatInputs, ctr_term, smat, smat_unprotected
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "build_layout",
     "ctr_term",
     "simulate",
-    "simulate_designs",
     "small_test_config",
     "smat",
     "smat_unprotected",

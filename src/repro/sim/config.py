@@ -52,8 +52,9 @@ class SimulationConfig:
 
         Args:
             num_cores: Core count for the new configuration.
-            scale_llc: Scale the shared LLC at 2MB per core, as the paper
-                does for its 8-core experiment.
+            scale_llc: Give the shared LLC an absolute 2MB per core, as the
+                paper does for its 8-core experiment; see
+                :meth:`HierarchyConfig.scaled_llc_for_cores`.
         """
         hierarchy = replace(self.hierarchy, num_cores=num_cores)
         if scale_llc:
@@ -63,19 +64,11 @@ class SimulationConfig:
     def with_ctr_cache_bytes(self, size_bytes: int) -> "SimulationConfig":
         """A copy with a different baseline CTR-cache capacity (Fig. 3).
 
-        ``dataclasses.replace`` keeps every other engine knob (policy and
-        prefetcher names, MAC placement) — a field-by-field rebuild here
-        once silently dropped new fields.
+        ``dataclasses.replace`` keeps every other field and engine knob
+        (policy and prefetcher names, MAC placement) — a field-by-field
+        rebuild here once silently dropped new fields.
         """
-        engine = replace(self.engine, ctr_cache_bytes=size_bytes)
-        return SimulationConfig(
-            hierarchy=self.hierarchy,
-            memory_bytes=self.memory_bytes,
-            counter_scheme=self.counter_scheme,
-            engine=engine,
-            cosmos=self.cosmos,
-            cpu=self.cpu,
-        )
+        return replace(self, engine=replace(self.engine, ctr_cache_bytes=size_bytes))
 
 
 def scaled_paper_config(scale: int = 16, num_cores: int = 4) -> SimulationConfig:

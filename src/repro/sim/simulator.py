@@ -20,7 +20,7 @@ resulting payloads for every design and input kind.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, Optional, Union
 
 from .. import obs
 from ..mem.access import AccessType, MemoryAccess
@@ -289,20 +289,3 @@ def simulate(
     design = build_design(design_name, config)
     simulator = Simulator(design, config, workload)
     return simulator.run(trace)
-
-
-def simulate_designs(
-    design_names: List[str],
-    trace_factory: Callable[[], Iterable[MemoryAccess]],
-    config: Optional[SimulationConfig] = None,
-    workload: str = "trace",
-) -> Dict[str, SimulationResult]:
-    """Run the *same* trace through several designs.
-
-    ``trace_factory`` is called once per design so generators are not
-    shared across runs.
-    """
-    results: Dict[str, SimulationResult] = {}
-    for name in design_names:
-        results[name] = simulate(name, trace_factory(), config, workload)
-    return results

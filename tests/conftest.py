@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -47,6 +48,25 @@ def tiny_config() -> SimulationConfig:
 def quad_config() -> SimulationConfig:
     """A four-core configuration with very small caches."""
     return small_test_config(num_cores=4)
+
+
+@pytest.fixture
+def non_default_config() -> SimulationConfig:
+    """A configuration with a non-default value in every top-level field.
+
+    Config copy helpers must equal ``dataclasses.replace`` on it: a
+    field-by-field rebuild that forgets a field shows up as a mismatch.
+    """
+    base = small_test_config(num_cores=2)
+    return replace(
+        base,
+        hierarchy=replace(base.hierarchy, l2_prefetcher="none"),
+        memory_bytes=8 * 1024**3,
+        counter_scheme="split",
+        engine=replace(base.engine, ctr_policy_name="rrip", mac_in_ecc=True),
+        cosmos=replace(base.cosmos, cet_entries=64),
+        cpu=replace(base.cpu, mlp_factor=2.0),
+    )
 
 
 @pytest.fixture(scope="session")

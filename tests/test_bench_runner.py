@@ -1,10 +1,12 @@
-"""Unit tests for the benchmark runner (trace cache, env knobs)."""
+"""Unit tests for the benchmark runner (trace cache, env knobs, cell memo)."""
 
-import os
+import json
+from dataclasses import replace
 
 import pytest
 
 from repro.bench import runner
+from repro.exec import make_spec
 from repro.workloads.graph_algos import GRAPH_WORKLOADS
 
 
@@ -60,17 +62,58 @@ def test_get_trace_rejects_unknown(quick_env):
         runner.get_trace("nonexistent")
 
 
-def test_run_design_result_cache(quick_env):
-    first = runner.run_design("np", "dfs")
-    second = runner.run_design("np", "dfs")
-    assert second is first  # memoised under the default config
+def test_changed_generator_digest_misses_the_npz(quick_env, monkeypatch):
+    runner.get_trace("dfs")
+    runner._MEMORY_CACHE.clear()
+    generated = []
+    generate = runner._generate
+    monkeypatch.setattr(runner, "_generate",
+                        lambda *args: generated.append(args) or generate(*args))
+    runner.get_trace("dfs")
+    assert generated == []  # same generator code: the .npz answers
+    runner._MEMORY_CACHE.clear()
+    monkeypatch.setattr(runner, "generator_digest", lambda: "f" * 64)
+    runner.get_trace("dfs")
+    assert len(generated) == 1
+    assert len(list(runner.cache_dir().glob("dfs-*.npz"))) == 2
 
 
-def test_run_matrix_shape(quick_env):
-    matrix = runner.run_matrix(["np", "morphctr"], ["dfs"])
-    assert set(matrix) == {"dfs"}
-    assert set(matrix["dfs"]) == {"np", "morphctr"}
-    assert matrix["dfs"]["morphctr"].ctr_miss_rate >= 0.0
+def _manifests():
+    return sorted((runner.cache_dir() / "manifests").glob("run-*.json"))
+
+
+def test_run_cells_memoises_by_content_hash(quick_env):
+    def split_counters():
+        return replace(runner.default_config(), counter_scheme="split")
+
+    spec = make_spec("morphctr", "dfs", config=split_counters())
+    first, default = runner.run_cells([spec, make_spec("morphctr", "dfs")])
+    assert runner._RESULT_CACHE[spec.content_hash()] is first
+    assert first.to_dict() != default.to_dict()
+    # An equal config built afresh is the same cell: nothing runs again.
+    runs = len(_manifests())
+    (again,) = runner.run_cells([make_spec("morphctr", "dfs", config=split_counters())])
+    assert again is first
+    assert len(_manifests()) == runs
+
+
+def test_run_cells_returns_results_in_spec_order(quick_env):
+    specs = [make_spec(design, "dfs") for design in ("np", "morphctr", "np")]
+    results = runner.run_cells(specs)
+    assert [result.design for result in results] == ["np", "morphctr", "np"]
+    assert results[0] is results[2]
+    manifest = json.loads(_manifests()[-1].read_text())
+    assert (manifest["totals"]["jobs"], manifest["totals"]["duplicates"]) == (2, 1)
+
+
+def test_sweep_point_equal_to_default_is_the_default_cell(quick_env):
+    matrix = runner.run_design_matrix(["morphctr"], ["dfs"])
+    config = runner.default_config()
+    sweep = config.with_ctr_cache_bytes(config.engine.ctr_cache_bytes)
+    runs = len(_manifests())
+    (result,) = runner.run_cells([make_spec("morphctr", "dfs", config=sweep)])
+    assert result is matrix["dfs"]["morphctr"]
+    assert len(_manifests()) == runs
 
 
 def test_default_config_is_scaled_table3():
@@ -103,18 +146,19 @@ def test_cache_dir_is_lazy(monkeypatch, tmp_path):
 
 
 def test_run_design_matrix_shape_and_memo_sharing(quick_env):
-    matrix = runner.run_design_matrix(["np", "morphctr"], ["dfs"], jobs=1)
+    matrix = runner.run_design_matrix(["np", "morphctr"], ["dfs"])
     assert set(matrix) == {"dfs"}
     assert set(matrix["dfs"]) == {"np", "morphctr"}
-    # Default-config cells land in the same in-process memo run_design uses.
-    assert runner.run_design("np", "dfs") is matrix["dfs"]["np"]
+    assert matrix["dfs"]["morphctr"].ctr_miss_rate >= 0.0
+    # Matrix cells land in the same in-process memo run_cells reads.
+    assert runner.run_cells([make_spec("np", "dfs")])[0] is matrix["dfs"]["np"]
 
 
 def test_run_design_matrix_disk_cache_hit(quick_env):
-    runner.run_design_matrix(["np"], ["dfs"], jobs=1)
+    runner.run_design_matrix(["np"], ["dfs"])
     runner._RESULT_CACHE.clear()
     runner._MEMORY_CACHE.clear()
-    again = runner.run_design_matrix(["np"], ["dfs"], jobs=1)
+    again = runner.run_design_matrix(["np"], ["dfs"])
     assert again["dfs"]["np"].accesses == 2000
     assert len(list((runner.cache_dir() / "results").glob("*.json"))) == 1
 

@@ -8,6 +8,7 @@ benchmark result cache and the EXPERIMENTS.md tables rely on.
 
 import pytest
 
+from repro.exec import set_options
 from repro.sim.config import small_test_config
 from repro.sim.simulator import simulate
 from repro.workloads.graph_algos import generate_graph_trace
@@ -83,10 +84,8 @@ def test_matrix_identical_across_jobs_and_cache_modes(tmp_path, monkeypatch):
     for jobs, use_cache in ((1, False), (4, False), (1, True), (4, True), (1, True)):
         runner._MEMORY_CACHE.clear()
         runner._RESULT_CACHE.clear()
-        matrix = runner.run_design_matrix(
-            designs, workloads, jobs=jobs, use_cache=use_cache
-        )
-        dumps.append(_matrix_dump(matrix))
+        set_options(jobs=jobs, use_cache=use_cache)
+        dumps.append(_matrix_dump(runner.run_design_matrix(designs, workloads)))
     assert all(d == dumps[0] for d in dumps[1:])
     runner._MEMORY_CACHE.clear()
     runner._RESULT_CACHE.clear()
@@ -105,10 +104,8 @@ def test_hammer_matrix_identical_across_jobs_and_cache_modes(tmp_path, monkeypat
     for jobs, use_cache in ((1, False), (4, False), (1, True), (4, True)):
         runner._MEMORY_CACHE.clear()
         runner._RESULT_CACHE.clear()
-        matrix = runner.run_design_matrix(
-            designs, workloads, jobs=jobs, use_cache=use_cache
-        )
-        dumps.append(_matrix_dump(matrix))
+        set_options(jobs=jobs, use_cache=use_cache)
+        dumps.append(_matrix_dump(runner.run_design_matrix(designs, workloads)))
     assert all(d == dumps[0] for d in dumps[1:])
     runner._MEMORY_CACHE.clear()
     runner._RESULT_CACHE.clear()
@@ -136,18 +133,25 @@ def test_hammer_verdicts_reproducible():
     assert dumps[0] == dumps[1]
 
 
-def test_experiment_rows_reproducible(tmp_path, monkeypatch):
+@pytest.mark.parametrize("experiment, kwargs", [
+    ("figure2", {"workloads": ["dfs"]}),
+    ("figure3", {"workloads": ["dfs"], "sizes_kb": [8, 16]}),
+], ids=["fig2", "fig3"])
+def test_experiment_rows_reproducible(experiment, kwargs, tmp_path, monkeypatch):
+    """A figure's rows are the same serial and on two workers, each with
+    the result cache off, cold and warm."""
     from repro.bench import experiments, runner
 
     monkeypatch.setenv("REPRO_TRACE_LEN", "3000")
     monkeypatch.setenv("REPRO_GRAPH_SCALE", "0.04")
-    monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "traces")
-    runner._MEMORY_CACHE.clear()
-    runner._RESULT_CACHE.clear()
-    first = experiments.figure2(workloads=["dfs"], quiet=True)
-    runner._MEMORY_CACHE.clear()
-    runner._RESULT_CACHE.clear()
-    second = experiments.figure2(workloads=["dfs"], quiet=True)
-    assert first == second
+    rows = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / f"jobs{jobs}")
+        for use_cache in (False, True, True):  # off, cold, warm
+            runner._MEMORY_CACHE.clear()
+            runner._RESULT_CACHE.clear()
+            set_options(jobs=jobs, use_cache=use_cache)
+            rows.append(getattr(experiments, experiment)(quiet=True, **kwargs))
+    assert all(row == rows[0] for row in rows[1:])
     runner._MEMORY_CACHE.clear()
     runner._RESULT_CACHE.clear()

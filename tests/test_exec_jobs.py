@@ -1,10 +1,12 @@
 """Unit tests for JobSpec content hashing and spec resolution."""
 
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.exec import JobSpec, canonical_config_dict, make_spec
+from repro.exec import JobSpec, canonical_config_dict, jobs, make_spec, set_options
 from repro.sim.config import SimulationConfig, small_test_config
 
 
@@ -34,10 +36,50 @@ def test_hash_is_hex_sha256():
     int(digest, 16)  # raises if not hex
 
 
-def test_hash_is_pinned():
-    # A changed digest strands every cached result; change it on purpose.
+def test_hash_is_pinned(monkeypatch):
+    # A changed hash layout strands every cached result; change it on
+    # purpose.  The model digest is held constant, so editing the model
+    # moves every hash without moving this pin.
+    monkeypatch.setattr(jobs, "model_digest", lambda: "0" * 64)
     assert make_job().content_hash() == (
-        "b6649abdbd89d9935160f4e5dcf8a1cfab044d7f6c54b2efd52814c903dc256d")
+        "decbfb30b0a9eee52f7817bab61b6cb28fd498da765eb5f63d0d429135ba841f")
+
+
+@pytest.fixture
+def source_copy(tmp_path):
+    """A copy of the package's sources that a test may edit."""
+    root = tmp_path / "repro"
+    shutil.copytree(Path(jobs.__file__).resolve().parents[1], root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _edit(path: Path, old: str, new: str) -> None:
+    source = path.read_text()
+    assert old in source
+    path.write_text(source.replace(old, new, 1))
+
+
+def test_model_edit_changes_the_job_hash(source_copy, monkeypatch):
+    installed = make_job().content_hash()
+    monkeypatch.setattr(jobs, "model_digest",
+                        lambda: jobs.source_digest(jobs.MODEL_PACKAGES, source_copy))
+    assert make_job().content_hash() == installed  # the copy hashes alike
+    # A timing constant in the DRAM model moves the hash ...
+    _edit(source_copy / "mem" / "dram.py", "cas: int = 41", "cas: int = 42")
+    edited = make_job().content_hash()
+    assert edited != installed
+    # ... an edit outside the five model packages does not.
+    _edit(source_copy / "bench" / "report.py", '"""', '"""Edited. ')
+    assert make_job().content_hash() == edited
+
+
+def test_generator_digest_covers_only_the_generators(source_copy):
+    assert jobs.source_digest(("workloads",), source_copy) == jobs.generator_digest()
+    _edit(source_copy / "mem" / "dram.py", "cas: int = 41", "cas: int = 42")
+    assert jobs.source_digest(("workloads",), source_copy) == jobs.generator_digest()
+    _edit(source_copy / "workloads" / "graph.py", '"""', '"""Edited. ')
+    assert jobs.source_digest(("workloads",), source_copy) != jobs.generator_digest()
 
 
 def test_edited_trace_file_misses_the_result_cache(tmp_path, monkeypatch):
@@ -48,12 +90,12 @@ def test_edited_trace_file_misses_the_result_cache(tmp_path, monkeypatch):
     workload = f"trace:{path}"
     config = small_test_config(1)
 
+    set_options(jobs=1, use_cache=True)
+
     def run():
         spec = make_spec("np", workload, config=config, num_cores=1, max_accesses=100)
         matrix = runner.run_design_matrix(
-            ["np"], [workload], config=config, num_cores=1, max_accesses=100,
-            jobs=1, use_cache=True,
-        )
+            ["np"], [workload], config=config, num_cores=1, max_accesses=100)
         return spec.content_hash(), matrix[workload]["np"]
 
     path.write_text("0x400140 R\n0x400180 W\n0x4001c0 R\n")

@@ -15,6 +15,7 @@ from repro.exec import (
     ParallelRunner,
     ResultCache,
     make_spec,
+    set_options,
 )
 from repro.exec.pool import WorkerPool
 from repro.sim.config import small_test_config
@@ -297,11 +298,11 @@ def test_pool_mode_runs_real_jobs(quick_env):
 # ----------------------------------------------------------------------
 def test_parallel_results_identical_to_serial(quick_env):
     designs, workloads = ["np", "morphctr"], ["dfs"]
-    serial = bench_runner.run_design_matrix(designs, workloads, jobs=1,
-                                            use_cache=False)
+    set_options(jobs=1, use_cache=False)
+    serial = bench_runner.run_design_matrix(designs, workloads)
     bench_runner._RESULT_CACHE.clear()
-    parallel = bench_runner.run_design_matrix(designs, workloads, jobs=2,
-                                              use_cache=False)
+    set_options(jobs=2)
+    parallel = bench_runner.run_design_matrix(designs, workloads)
     for workload in workloads:
         for design in designs:
             assert parallel[workload][design].to_dict() == \

@@ -4,9 +4,12 @@ These run every experiment function end-to-end on miniature traces; the
 full-scale shape assertions live in ``benchmarks/``.
 """
 
+import json
+
 import pytest
 
 from repro.bench import experiments, runner
+from repro.obs.artifacts import latest_manifest
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +58,18 @@ def test_figure8_series():
 def test_figure9_rows():
     rows = experiments.figure9(cet_sizes=[64, 256], quiet=True)
     assert rows[1]["good_locality_pct"] >= 0.0
+
+
+def test_figure9_sweep_is_answered_by_the_result_cache():
+    first = experiments.figure9(cet_sizes=[64, 256], quiet=True)
+    runner._RESULT_CACHE.clear()
+    runner._MEMORY_CACHE.clear()
+    second = experiments.figure9(cet_sizes=[64, 256], quiet=True)
+    assert second == first
+    path = latest_manifest(runner.cache_dir() / "manifests")
+    assert path is not None  # the sweep ran through repro.exec
+    manifest = json.loads(path.read_text())
+    assert [job["status"] for job in manifest["jobs"]] == ["cached", "cached"]
 
 
 def test_figure10_geomean_row():

@@ -143,9 +143,13 @@ class TestRunnerIntegration:
         trace = get_trace(f"trace:{ram_path}", max_accesses=3)
         assert len(trace) == 3
 
-    def test_simulates_end_to_end(self, ram_path):
-        from repro.bench.runner import run_design
+    def test_simulates_end_to_end(self, ram_path, tmp_path, monkeypatch):
+        from repro.bench import runner
 
-        result = run_design("cosmos", f"trace:{ram_path}")
+        # The run writes a result and a manifest: keep them out of the
+        # working directory.
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+        workload = f"trace:{ram_path}"
+        result = runner.run_design_matrix(["cosmos"], [workload])[workload]["cosmos"]
         assert result.instructions > 0
         assert result.ipc > 0

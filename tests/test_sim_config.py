@@ -83,7 +83,7 @@ class TestCosmosConfigDefaults:
         # 128KB per core x 4 cores (see EXPERIMENTS.md interpretation #1).
         assert CosmosConfig().lcr_cache_bytes == 512 * 1024
 
-    def test_with_cores_preserves_other_fields(self):
+    def test_with_cores_preserves_other_fields(self, non_default_config):
         base = scaled_paper_config(scale=16)
         eight = base.with_cores(8)
         assert eight.engine.ctr_cache_bytes == base.engine.ctr_cache_bytes
@@ -92,3 +92,11 @@ class TestCosmosConfigDefaults:
         base = replace(base, hierarchy=replace(base.hierarchy, l2_prefetcher="none"))
         for scale_llc in (True, False):
             assert base.with_cores(4, scale_llc=scale_llc).hierarchy.l2_prefetcher == "none"
+        # Each copy equals dataclasses.replace on a config whose every
+        # top-level field is non-default.
+        base = non_default_config
+        hierarchy = replace(base.hierarchy, num_cores=8)
+        assert base.with_cores(8, scale_llc=False) == replace(base, hierarchy=hierarchy)
+        scaled = replace(hierarchy, llc=replace(hierarchy.llc, size_bytes=16 * 1024 * 1024))
+        assert hierarchy.scaled_llc_for_cores() == scaled
+        assert base.with_cores(8) == replace(base, hierarchy=scaled)

@@ -1,10 +1,12 @@
 """Unit tests for the trace-driven simulator layer."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.mem.access import MemoryAccess
 from repro.sim.config import SimulationConfig, scaled_paper_config, small_test_config
-from repro.sim.simulator import Simulator, build_design, build_layout, simulate, simulate_designs
+from repro.sim.simulator import Simulator, build_design, build_layout, simulate
 
 
 def test_build_layout_respects_scheme(tiny_config):
@@ -54,14 +56,6 @@ def test_cycles_include_bandwidth_term(tiny_config, dfs_trace):
     assert result_secure.cycles > result_np.cycles
 
 
-def test_simulate_designs_runs_all(tiny_config, dfs_trace):
-    results = simulate_designs(
-        ["np", "morphctr"], lambda: list(dfs_trace), tiny_config, workload="dfs"
-    )
-    assert set(results) == {"np", "morphctr"}
-    assert results["np"].accesses == len(dfs_trace)
-
-
 def test_result_extras_for_cosmos(tiny_config, dfs_trace):
     result = simulate("cosmos", dfs_trace, tiny_config)
     assert "prediction_accuracy" in result.extra
@@ -91,13 +85,17 @@ def test_scaled_paper_config_rejects_bad_scale():
 def test_with_cores_scales_llc():
     config = scaled_paper_config(scale=16).with_cores(8)
     assert config.hierarchy.num_cores == 8
-    # 2MB/core rule applied to whatever LLC the base had.
+    # An absolute 2MB per core, whatever LLC the base had: 16MB at 8 cores,
+    # 32x the 512KB LLC of the 4-core scaled_paper_config(16).
     assert config.hierarchy.llc.size_bytes == 16 * 1024 * 1024
 
 
-def test_with_ctr_cache_bytes():
+def test_with_ctr_cache_bytes(non_default_config):
     config = small_test_config().with_ctr_cache_bytes(16 * 1024)
     assert config.engine.ctr_cache_bytes == 16 * 1024
+    base = non_default_config
+    assert base.with_ctr_cache_bytes(16 * 1024) == replace(
+        base, engine=replace(base.engine, ctr_cache_bytes=16 * 1024))
 
 
 def test_empty_trace_gives_zero_result(tiny_config):
