@@ -17,7 +17,11 @@ radius is 1 (two extra dict probes per miss), so no spatial index is kept.
 
 Entries live in a plain dict kept in recency order: a touch pops and
 re-inserts the entry, so the first key is the LRU victim and the last
-value is the head.
+value is the head.  This is the one definition of that layout:
+:meth:`repro.core.locality_predictor.CtrLocalityPredictor.predict` does
+the steps of ``probe_nearby``, ``head`` and ``insert`` directly on the
+dict, in that order, and the methods here are the reference its test is
+built from.
 """
 
 from __future__ import annotations

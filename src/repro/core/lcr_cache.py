@@ -15,6 +15,14 @@ and demotes them once the score crosses zero (without it a good tag is
 permanent — a hazard when the predictor over-tags), and
 ``bad_selection="lru"`` picks the oldest rather than the most confidently
 bad line among the eviction candidates.
+
+Every COSMOS design builds the literal policy.  Under it,
+:meth:`repro.secure.ctr_cache.CtrCache.access_index` evicts on the
+cache's set dicts itself: it applies the rule of
+:meth:`LcrReplacementPolicy.victim` in one scan, in insertion order, and
+calls none of the hooks, since with ``aging=0`` and
+``bad_selection="score"`` they change no state.  Any other setting, or a
+subclass, goes through this class.
 """
 
 from __future__ import annotations
@@ -109,5 +117,6 @@ class LcrReplacementPolicy(ReplacementPolicy):
                 return min(bad, key=_recency)
             return max(bad, key=_score)
         evict_candidate = min(lines, key=_score, default=None)
-        assert evict_candidate is not None, "victim() called on an empty set"
+        if evict_candidate is None:
+            raise ValueError("victim() called on an empty set")
         return evict_candidate

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .cet import CtrEvaluationTable
+from .cet import CetEntry, CtrEvaluationTable
 from .config import CosmosConfig
 from .hashing import STATE_MEMO_ENTRIES, hash_block
 from .rl import Q_MAX, Q_MIN, EpsilonGreedy, QTable
@@ -95,8 +95,12 @@ class CtrLocalityPredictor:
         RNG order and counters as the :class:`~repro.core.rl` reference
         implementations) — this runs on every CTR access of a COSMOS
         design, so the call overhead is measurable.  For the same reason
-        the state comes from a memo, and only a line not seen since the
-        memo was last cleared is hashed.
+        the state comes from a memo (only a line not seen since the memo
+        was last cleared is hashed), and the steps of the CET's
+        ``probe_nearby``, ``head`` and ``insert`` run here, in that order,
+        on its recency-ordered dict (the layout :mod:`repro.core.cet`
+        defines).  ``tests/test_locality_predictor.py`` keeps a literal
+        Algorithm 1 step built from those methods as the reference.
         """
         table = self.q_table._table
         states = self._states
@@ -118,18 +122,38 @@ class CtrLocalityPredictor:
         if action == GOOD_LOCALITY:
             stats.good_predictions += 1
 
-        # Grade against CET evidence (Algorithm 1 lines 9-15).
+        # Grade against CET evidence (Algorithm 1 lines 9-15): probe the
+        # exact line, then outward to the radius, lower address first; a
+        # touched entry moves to the end of the dict.
         rewards = self._rewards
         cet = self.cet
-        nearby = cet.probe_nearby(ctr_block)
+        entries = cet._entries
+        nearby = entries.pop(ctr_block, None)
+        if nearby is not None:
+            entries[ctr_block] = nearby
+        else:
+            for distance in range(1, cet.radius + 1):
+                candidate = ctr_block - distance
+                nearby = entries.pop(candidate, None)
+                if nearby is not None:
+                    entries[candidate] = nearby
+                    break
+                candidate = ctr_block + distance
+                nearby = entries.pop(candidate, None)
+                if nearby is not None:
+                    entries[candidate] = nearby
+                    break
         if nearby is not None:
             stats.cet_hits += 1
             correct = action == GOOD_LOCALITY
             reward = rewards.r_hg if correct else rewards.r_hb
+            # The probe just made the matched entry the CET head.
+            head = nearby
         else:
             stats.cet_misses += 1
             correct = action == BAD_LOCALITY
             reward = rewards.r_mb if correct else rewards.r_mg
+            head = next(reversed(entries.values())) if entries else None
         if correct:
             stats.rewarded_correct += 1
         else:
@@ -138,7 +162,6 @@ class CtrLocalityPredictor:
         # Bootstrap from the most recent CET entry (lines 16-17).
         alpha = self._alpha
         gamma = self._gamma
-        head = cet.head
         bootstrap = max(table[head.state]) if head is not None else 0.0
         current = row[action]
         updated = current + alpha * (reward + gamma * bootstrap - current)
@@ -149,7 +172,18 @@ class CtrLocalityPredictor:
         row[action] = updated
 
         # Record the observation; settle evicted entries (lines 18-23).
-        evicted = cet.insert(ctr_block, state, action)
+        # An existing entry is refreshed at the end; a new one evicts the
+        # first (least recent) key when the CET is full.
+        existing = entries.pop(ctr_block, None)
+        if existing is not None:
+            existing.state = state
+            existing.action = action
+            entries[ctr_block] = existing
+            return action, round(row[action])
+        evicted = None
+        if len(entries) >= cet.capacity:
+            evicted = entries.pop(next(iter(entries)))
+        entries[ctr_block] = CetEntry(ctr_block, state, action)
         if evicted is not None:
             stats.cet_evictions += 1
             if evicted.action == GOOD_LOCALITY:

@@ -19,7 +19,11 @@ a fill appends), so the victim is the set's first key, and the evicted
 a new one.  :meth:`repro.mem.hierarchy.MemoryHierarchy.access_block` and
 :meth:`repro.secure.merkle.IntegrityTreeModel.traverse` work on their
 caches' set dicts directly under this layout.  Other policies are
-dispatched through their callbacks and get a fresh line per fill.
+dispatched through their callbacks and get a fresh line per fill; their
+sets keep insertion order (a hit reorders nothing, a fill appends).
+:meth:`repro.secure.ctr_cache.CtrCache.access_index` works on the
+LCR-CTR cache's set dicts directly under that order when the cache holds
+the literal LCR policy, instead of calling :meth:`Cache.access_and_fill`.
 """
 
 from __future__ import annotations

@@ -9,12 +9,16 @@ policy for the LCR-CTR cache (Algorithm 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
+from ..core.lcr_cache import FLAG_BAD, LcrReplacementPolicy
 from ..mem.cache import Cache
-from ..mem.replacement import ReplacementPolicy
+from ..mem.replacement import CacheLine, ReplacementPolicy
 from .counters import CounterScheme
 from .layout import SecureLayout
+
+_by_score = attrgetter("locality_score")
 
 
 @dataclass(slots=True)
@@ -122,19 +126,68 @@ class CtrCache:
         index — the engine's hot path resolves the index once and shares it
         between the classifier, the cache lookup and the integrity walk.
 
-        One :meth:`~repro.mem.cache.Cache.access_and_fill` call probes the
-        cache and fills it on a miss, so the line is resident afterwards
-        and is tagged straight from its set."""
+        Under the literal Algorithm 2 policy that every COSMOS design
+        builds (:class:`~repro.core.lcr_cache.LcrReplacementPolicy` with
+        ``aging=0`` and ``bad_selection="score"``) the access runs in this
+        frame, on the cache's set dict in insertion order: a ``get``
+        probe that reorders nothing; on a miss in a full set, one scan
+        for the first bad line with the highest score, else the set's
+        first line with the lowest score; the dirty victim's writeback;
+        then a fresh line.  Every other policy (LRU, the LCR variants,
+        Fig. 5's policies) takes one
+        :meth:`~repro.mem.cache.Cache.access_and_fill` call.  The path is
+        chosen on every call, because experiments assign a built design's
+        policy.  The line is resident afterwards and is tagged directly.
+        ``tests/test_ctr_cache.py`` keeps the access-fill-tag sequence as
+        the reference for both paths."""
         ctr_address = self.layout.ctr_block_address(ctr_index)
         cache = self.cache
         stats = self.stats
-        hit = cache.access_and_fill(ctr_address, is_write)
+        policy = cache._policy
+        if (type(policy) is not LcrReplacementPolicy or policy.aging
+                or policy.bad_selection != "score"):
+            hit = cache.access_and_fill(ctr_address, is_write)
+            line = None
+            if locality_flag is not None:
+                line = cache._sets[ctr_address & cache._set_mask][ctr_address]
+        else:
+            target_set = cache._sets[ctr_address & cache._set_mask]
+            cache_stats = cache.stats
+            line = target_set.get(ctr_address)
+            hit = line is not None
+            if hit:
+                cache_stats.hits += 1
+                if line.prefetched and not line.referenced:
+                    cache_stats.prefetch_useful += 1
+                line.referenced = True
+                if is_write:
+                    line.dirty = True
+            else:
+                cache_stats.misses += 1
+                if len(target_set) >= cache.assoc:
+                    victim = None
+                    for resident in target_set.values():
+                        if resident.locality_flag == FLAG_BAD and (
+                                victim is None
+                                or resident.locality_score > victim.locality_score):
+                            victim = resident
+                    if victim is None:
+                        victim = min(target_set.values(), key=_by_score)
+                    del target_set[victim.tag]
+                    cache_stats.evictions += 1
+                    if victim.prefetched and not victim.referenced:
+                        cache_stats.prefetch_evicted_unused += 1
+                    if victim.dirty:
+                        cache_stats.writebacks += 1
+                        if cache.writeback_sink is not None:
+                            cache.writeback_sink(victim.tag)
+                line = target_set[ctr_address] = CacheLine(ctr_address)
+                line.dirty = is_write
         if hit:
             stats.hits += 1
         else:
             stats.misses += 1
         if locality_flag is not None:
-            line = cache._sets[ctr_address & cache._set_mask][ctr_address]
             line.locality_flag = locality_flag
             if locality_score is not None:
                 line.locality_score = locality_score

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.lcr_cache import FLAG_BAD, FLAG_GOOD, LcrReplacementPolicy
+from repro.mem.replacement import LRUPolicy
 from repro.secure.counters import MorphCtrCounters
 from repro.secure.ctr_cache import CtrCache
 from repro.secure.layout import SecureLayout
@@ -119,7 +120,7 @@ def _reference_access_index(self, ctr_index, is_write=False, locality_flag=None,
 
 
 _POLICIES = {
-    "lru": lambda: None,
+    "lru": LRUPolicy,
     "lcr-score": lambda: LcrReplacementPolicy(),
     "lcr-score-aging": lambda: LcrReplacementPolicy(aging=1),
     "lcr-lru": lambda: LcrReplacementPolicy(bad_selection="lru"),
@@ -149,13 +150,30 @@ def _recorded_ctr_cache(policy, writebacks):
     return cache
 
 
-@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def _ctr_cache_under(policy, assigned, writebacks):
+    """A CTR cache running ``policy``: built with it, or built with the
+    literal LCR policy every COSMOS design builds and given ``policy``
+    before the first access, as ``ablation_lcr_policy`` does."""
+    if not assigned:
+        return _recorded_ctr_cache(_POLICIES[policy](), writebacks)
+    cache = _recorded_ctr_cache(LcrReplacementPolicy(), writebacks)
+    cache.cache.policy = _POLICIES[policy]()
+    return cache
+
+
+# The policy axis, and whether the policy is the one the cache was built
+# with or one assigned to a built cache; a path fixed at construction
+# fails the assigned cases.
+@pytest.mark.parametrize("policy, assigned", [
+    pytest.param(name, assigned, id=name + ("-assigned" if assigned else ""))
+    for name in sorted(_POLICIES) for assigned in (False, True)
+])
 @settings(max_examples=60, deadline=None)
 @given(accesses=_CTR_ACCESSES)
-def test_access_index_matches_access_fill_tag_reference(policy, accesses):
+def test_access_index_matches_access_fill_tag_reference(policy, assigned, accesses):
     fast_writebacks, ref_writebacks = [], []
-    fast = _recorded_ctr_cache(_POLICIES[policy](), fast_writebacks)
-    ref = _recorded_ctr_cache(_POLICIES[policy](), ref_writebacks)
+    fast = _ctr_cache_under(policy, assigned, fast_writebacks)
+    ref = _ctr_cache_under(policy, assigned, ref_writebacks)
     for index, is_write, flag, score in accesses:
         assert fast.access_index(index, is_write, flag, score) == (
             _reference_access_index(ref, index, is_write, flag, score))

@@ -100,9 +100,9 @@ def test_invalid_parameters():
         LcrReplacementPolicy(bad_selection="fifo")
 
 
-def test_empty_set_asserts():
+def test_empty_set_raises():
     policy = LcrReplacementPolicy()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         policy.victim(0, [])
 
 
