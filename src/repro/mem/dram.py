@@ -36,7 +36,7 @@ cycle accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .access import BLOCK_SHIFT
 
@@ -390,73 +390,93 @@ class DramModel:
         stats.queue_cycles += latency - service
         return latency
 
-    def reads_at(self, addresses: Iterable[int], now: int) -> None:
+    def reads_at(self, addresses: List[int], now: int) -> None:
         """Service a read of each of ``addresses``, in order, all at ``now``.
 
         Leaves the same state and :class:`DramStats` as one
-        ``request(address, now=now)`` per address, in one frame: the
-        per-channel counters, the utilisation windows' busy cycles and the
-        stats sums are added once per call.  Nothing is returned, because
-        the one caller, the MT walk, has no use for the latencies: they
-        overlap OTP generation (paper Sec. 5).
+        ``request(address, now=now)`` per address.  Nothing is returned,
+        because the one caller, the MT walk, has no use for the latencies:
+        they overlap OTP generation (paper Sec. 5).
 
-        A read whose channel has not been settled at ``now`` goes through
-        :meth:`request`, so refresh, the utilisation window and the queue
-        penalty are defined in one place.  The simulator's designs use one
-        channel, which the counter fetch at the same cycle has settled.
+        The reads are served one channel at a time: channels in order of
+        first appearance, each channel's reads in their given order.  That
+        is exact, because at one ``now`` channels share no state: bank
+        indices include the channel, the bus, its direction, the queue
+        penalty, the settle point and the utilisation window are per
+        channel, and the stats are sums.  With one channel, which every
+        simulator design uses, ``addresses`` is the batch as it stands.
+
+        A channel's first read goes through :meth:`request` when the
+        channel is not yet settled at ``now`` or its bus is turned to
+        writes, so refresh, the utilisation window and the turnaround are
+        defined in one place.  After any read the bus faces reads, so only
+        that first read can pay a turnaround.  In the simulator the counter
+        fetch at the same cycle has settled the channel and turned its bus
+        to reads.  The rest of the batch loads ``now`` plus the queue
+        penalty, the bus gate and the bank base once.  Each read decodes its
+        bank and row, waits for its bank, opens or hits its row and waits
+        for the bus, then stores its finish to the bank.  The bus gate, the
+        per-channel counters and the window's busy cycles are stored once
+        per batch, the stats sums once per call.
         """
+        if not addresses:
+            return
         timings = self.timings
         burst = timings.burst
         hit_column = timings.cas
         miss_column = timings.rp + timings.rcd + hit_column
-        turnaround = timings.turnaround
-        channel_shift = self._channel_shift
         channel_mask = self._channel_mask
+        if channel_mask:
+            channel_shift = self._channel_shift
+            by_channel: Dict[int, List[int]] = {}
+            for address in addresses:
+                channel = (address >> channel_shift) & channel_mask
+                batch = by_channel.get(channel)
+                if batch is None:
+                    by_channel[channel] = [address]
+                else:
+                    batch.append(address)
+            batches = by_channel.items()
+        else:
+            batches = ((0, addresses),)
         bank_shift = self._bank_shift
         bank_mask = self._bank_mask
         row_shift = self._row_shift
-        num_banks = self.num_banks
-        settled_at = self._settled_at
-        queue_penalty = self._queue_penalty
         open_rows = self._open_rows
         bank_ready = self._bank_ready
-        bus_ready = self._bus_ready
-        last_write = self._last_write
-        reads = [0] * self.num_channels
-        hits = turnarounds = finish_sum = 0
-        for address in addresses:
-            channel = (address >> channel_shift) & channel_mask
-            if settled_at[channel] != now:
-                self.request(address, False, now)
-                continue
-            reads[channel] += 1
-            bank_index = channel * num_banks + ((address >> bank_shift) & bank_mask)
-            start = now + queue_penalty[channel]
-            ready = bank_ready[bank_index]
-            if ready > start:
-                start = ready
-            row = address >> row_shift
-            if open_rows[bank_index] == row:
-                hits += 1
-                burst_start = start + hit_column
-            else:
-                open_rows[bank_index] = row
-                burst_start = start + miss_column
-            gate = bus_ready[channel]
-            if last_write[channel]:
-                last_write[channel] = False
-                gate += turnaround
-                if burst_start < gate:
-                    turnarounds += 1
-            finish = (gate if burst_start < gate else burst_start) + burst
-            bus_ready[channel] = finish
-            bank_ready[bank_index] = finish
-            finish_sum += finish
-
-        count = sum(reads)
-        if not count:
-            return
         stats = self.stats
+        count = hits = finish_sum = 0
+        for channel, batch in batches:
+            if self._settled_at[channel] != now or self._last_write[channel]:
+                self.request(batch[0], False, now)
+                batch = batch[1:]
+            earliest = now + self._queue_penalty[channel]
+            gate = self._bus_ready[channel]
+            base = channel * self.num_banks
+            for address in batch:
+                bank_index = base + ((address >> bank_shift) & bank_mask)
+                start = bank_ready[bank_index]
+                if start < earliest:
+                    start = earliest
+                row = address >> row_shift
+                if open_rows[bank_index] == row:
+                    hits += 1
+                    start += hit_column
+                else:
+                    open_rows[bank_index] = row
+                    start += miss_column
+                gate = (start if start > gate else gate) + burst
+                bank_ready[bank_index] = gate
+                finish_sum += gate
+            self._bus_ready[channel] = gate
+            reads = len(batch)
+            count += reads
+            per_channel = stats.per_channel
+            per_channel[channel] = per_channel.get(channel, 0) + reads
+            busy = stats.per_channel_busy
+            busy[channel] = busy.get(channel, 0) + reads * burst
+            self._win_busy[channel] += reads * burst
+
         misses = count - hits
         latency = finish_sum - count * now
         stats.reads += count
@@ -464,15 +484,6 @@ class DramModel:
         stats.row_misses += misses
         stats.read_cycles += latency
         stats.queue_cycles += latency - count * burst - hits * hit_column - misses * miss_column
-        stats.turnarounds += turnarounds
-        per_channel = stats.per_channel
-        busy = stats.per_channel_busy
-        win_busy = self._win_busy
-        for channel, channel_reads in enumerate(reads):
-            if channel_reads:
-                per_channel[channel] = per_channel.get(channel, 0) + channel_reads
-                busy[channel] = busy.get(channel, 0) + channel_reads * burst
-                win_busy[channel] += channel_reads * burst
 
     def add_background_occupancy(self, num_requests: int) -> None:
         """Charge ``num_requests`` background 64B transfers as occupancy.

@@ -12,7 +12,7 @@ log2(537M/128) ~ 22 MT nodes" (Sec. 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 #: Default Merkle-tree arity.  The paper's traffic arithmetic (Sec. 3.1:
 #: "verifying a single CTR requires access to the log2(537M/128) ~ 22 MT
@@ -29,6 +29,16 @@ class SecureLayout:
     Args:
         data_blocks: Number of protected 64B data blocks.
         blocks_per_ctr: Coverage ratio of the counter scheme in use.
+
+    Attributes:
+        mt_fetched_level_bases: DRAM base address of each MT level a walk
+            may fetch, leaf-parent level first.  The root (last level) is
+            excluded: it is pinned on-chip and never fetched from DRAM
+            (paper Sec. 2.1).  The node at level ``k`` above counter line
+            ``c`` sits at ``bases[k] + c // mt_arity ** (k + 1)``.  A plain
+            attribute set once in ``__post_init__``, not a property,
+            because every MT walk reads it; the dataclass is frozen, so it
+            cannot be reassigned.
     """
 
     data_blocks: int
@@ -63,7 +73,7 @@ class SecureLayout:
             running += count
         object.__setattr__(self, "_level_counts", tuple(counts))
         object.__setattr__(self, "_level_bases", tuple(bases))
-        object.__setattr__(self, "_fetched_level_bases", tuple(bases[:-1]))
+        object.__setattr__(self, "mt_fetched_level_bases", tuple(bases[:-1]))
 
     # ------------------------------------------------------------------
     # Region sizes
@@ -130,17 +140,6 @@ class SecureLayout:
                 f" at level {level}"
             )
         return self._level_bases[level] + node_index
-
-    @property
-    def mt_fetched_level_bases(self) -> Tuple[int, ...]:
-        """DRAM base address of each MT level a walk may fetch, leaf-parent
-        level first.
-
-        The root (last level) is excluded: it is pinned on-chip and never
-        fetched from DRAM (paper Sec. 2.1).  The node at level ``k`` above
-        counter line ``c`` sits at ``bases[k] + c // mt_arity ** (k + 1)``.
-        """
-        return self._fetched_level_bases
 
     def mt_path(self, ctr_index: int) -> List[int]:
         """Block addresses of the MT nodes from leaf-parent to root.

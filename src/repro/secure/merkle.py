@@ -264,16 +264,19 @@ class IntegrityTreeModel:
         Walks the MT path leaf-parent to root, fetching nodes from DRAM
         until one hits in the MT-node cache (that node was already verified
         against the root, so the walk can stop).  Node addresses are
-        computed level by level as the walk climbs (the same placement as
-        :meth:`SecureLayout.mt_path`), so a walk that stops early never
+        computed level by level as the walk climbs, from the layout's
+        ``mt_fetched_level_bases`` (a plain attribute, the same placement
+        as :meth:`SecureLayout.mt_path`), so a walk that stops early never
         computes the rest of the path.
 
         The walk is one frame: each node's probe and fill work directly on
         the node cache's set dicts, in the LRU set layout that
         :mod:`repro.mem.cache` defines (a hit moves the line to the end; a
         miss appends, recycling the set's first line when the set is
-        full), and the cache's stats are added once per walk.  Without a
-        node cache the walk fetches the whole path.
+        full), and the cache's stats are added once per walk.  The first
+        line is the first key a loop over the set yields, which costs no
+        builtin call.  Without a node cache the walk fetches the whole
+        path.
 
         Returns:
             Tuple of (nodes fetched from DRAM, their block addresses).
@@ -312,7 +315,9 @@ class IntegrityTreeModel:
             if len(target_set) < assoc:
                 line = CacheLine(node_address)
             else:
-                line = target_set.pop(next(iter(target_set)))
+                for victim in target_set:
+                    break
+                line = target_set.pop(victim)
                 evictions += 1
                 line.tag = node_address
                 line.referenced = False

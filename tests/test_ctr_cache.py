@@ -1,5 +1,7 @@
 """Unit tests for the CTR cache."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -164,10 +166,32 @@ def _ctr_cache_under(policy, assigned, writebacks):
 # The policy axis, and whether the policy is the one the cache was built
 # with or one assigned to a built cache; a path fixed at construction
 # fails the assigned cases.
-@pytest.mark.parametrize("policy, assigned", [
+_POLICY_CASES = [
     pytest.param(name, assigned, id=name + ("-assigned" if assigned else ""))
     for name in sorted(_POLICIES) for assigned in (False, True)
-])
+]
+
+
+def _seeded_ctr_accesses(seed):
+    """400 accesses of the shape ``_CTR_ACCESSES`` draws, from
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [(rng.randrange(64), rng.random() < 0.5, rng.choice((None, FLAG_BAD, FLAG_GOOD)),
+             rng.choice((None, rng.randint(-128, 127))))
+            for _ in range(400)]
+
+
+# The reference check below on fixed streams, for each policy case.  It
+# runs first: a broken access fails here in seconds, where a drawn failing
+# example can take minutes to shrink.
+@pytest.mark.parametrize("policy, assigned", _POLICY_CASES)
+def test_access_index_matches_reference_on_seeded_streams(policy, assigned):
+    check = test_access_index_matches_access_fill_tag_reference.hypothesis.inner_test
+    for seed in range(10):
+        check(policy, assigned, _seeded_ctr_accesses(seed))
+
+
+@pytest.mark.parametrize("policy, assigned", _POLICY_CASES)
 @settings(max_examples=60, deadline=None)
 @given(accesses=_CTR_ACCESSES)
 def test_access_index_matches_access_fill_tag_reference(policy, assigned, accesses):

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.mem.dram import DramModel, DramTimings
+from repro.verify.dram import GEOMETRY
 
 
 # ----------------------------------------------------------------------
@@ -452,19 +453,51 @@ def _timing_state(model):
     )
 
 
+# A block drawn as (channel, bank, row, column) and reduced to the model's
+# geometry.  Two rows per bank keep row hits common.
+_BLOCK_FIELDS = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=31),
+)
+_ADVANCES = (0, 0, 0, 1, 7, 300, 1_500)
+
+
+def _block(model, fields):
+    channel, bank, row, column = fields
+    return model.encode(channel % model.num_channels, bank % model.num_banks, row,
+                        column % (model.row_size_bytes // 64))
+
+
+def _seeded_steps(seed):
+    """100 steps of the shape the test draws, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+
+    def fields():
+        return (rng.randrange(4), rng.randrange(16), rng.randrange(2), rng.randrange(32))
+
+    return [(rng.choice(_ADVANCES), fields(), rng.random() < 0.5, rng.randrange(4),
+             [fields() for _ in range(rng.randrange(9))], rng.random() < 0.5)
+            for _ in range(100)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     num_channels=st.sampled_from([1, 2, 4]),
+    # A small geometry whose banks are nearly always busy, and the figures'.
+    geometry=st.sampled_from([{"num_banks": 2, "row_size_bytes": 256}, GEOMETRY]),
+    queue_penalty=st.sampled_from([DramTimings().queue_penalty, 200]),
     steps=st.lists(
         st.tuples(
-            st.sampled_from([0, 0, 0, 1, 7, 300, 1_500]),
-            st.integers(min_value=0, max_value=255),  # every channel
+            st.sampled_from(_ADVANCES),
+            _BLOCK_FIELDS,  # every channel
             st.booleans(),
             st.integers(min_value=0, max_value=3),  # background requests
             # A batch of reads at the step's cycle, issued before or after
             # its request: before it, or on another channel, a read can
             # find its channel not yet settled at that cycle.
-            st.lists(st.integers(min_value=0, max_value=255), max_size=8),
+            st.lists(_BLOCK_FIELDS, max_size=8),
             st.booleans(),
         ),
         min_size=10,
@@ -472,10 +505,22 @@ def _timing_state(model):
     ),
     refresh_interval=st.sampled_from([0, 700]),
 )
-def test_reads_at_matches_one_request_per_read(num_channels, steps, refresh_interval):
+# Fixed streams on the figures' geometry, at a large penalty and without
+# refresh: banks are often idle and the bus often free when a read comes,
+# so its finish shows each term the batched loop hoists, the queue penalty
+# too.  They run before the drawn examples and fail without shrinking.
+@example(num_channels=1, geometry=GEOMETRY, queue_penalty=200,
+         steps=_seeded_steps(1), refresh_interval=0)
+@example(num_channels=2, geometry=GEOMETRY, queue_penalty=200,
+         steps=_seeded_steps(2), refresh_interval=0)
+@example(num_channels=4, geometry=GEOMETRY, queue_penalty=200,
+         steps=_seeded_steps(4), refresh_interval=0)
+def test_reads_at_matches_one_request_per_read(num_channels, geometry, queue_penalty, steps,
+                                               refresh_interval):
+    timings = DramTimings(queue_penalty=queue_penalty, refresh_interval=refresh_interval,
+                          refresh_cycles=300)
     batched, single = (
-        DramModel(timings=DramTimings(refresh_interval=refresh_interval, refresh_cycles=300),
-                  num_channels=num_channels, num_banks=2, row_size_bytes=256)
+        DramModel(timings=timings, **{**geometry, "num_channels": num_channels})
         for _ in range(2)
     )
 
@@ -485,8 +530,10 @@ def test_reads_at_matches_one_request_per_read(num_channels, steps, refresh_inte
             single.request(address, now=now)
 
     now = 0
-    for advance, block, is_write, background, batch, batch_first in steps:
+    for advance, fields, is_write, background, batch_fields, batch_first in steps:
         now += advance
+        block = _block(batched, fields)
+        batch = [_block(batched, read) for read in batch_fields]
         if batch_first:
             issue_batch(batch, now)
         assert (batched.request(block, is_write=is_write, now=now)

@@ -1,5 +1,7 @@
 """Unit tests for the secure address-space layout."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.secure.layout import SecureLayout
@@ -120,3 +122,13 @@ def test_mt_path_bounds():
     layout = SecureLayout(data_blocks=1 << 12)
     with pytest.raises(ValueError):
         layout.mt_path(layout.ctr_blocks)
+
+
+@pytest.mark.parametrize("arity", [2, 8])
+def test_fetched_level_bases_are_fixed(arity):
+    layout = SecureLayout(data_blocks=1 << 18, mt_arity=arity)
+    assert layout.mt_fetched_level_bases == tuple(
+        layout.mt_node_address(level, 0) for level in range(layout.mt_levels - 1))
+    with pytest.raises(FrozenInstanceError):
+        layout.mt_fetched_level_bases = ()
+    assert layout == SecureLayout(data_blocks=1 << 18, mt_arity=arity)
